@@ -205,8 +205,8 @@ class LabelConfig:
         epistemic_edges=DEFAULT_EPISTEMIC_EDGES,
         overrides: Mapping[tuple[str, str], tuple[float, float]] | None = None,
     ) -> "LabelConfig":
-        aleatory_edges = tuple(float(e) for e in aleatory_edges)
-        epistemic_edges = tuple(float(e) for e in epistemic_edges)
+        aleatory_edges = _numbers("aleatory edges", aleatory_edges)
+        epistemic_edges = _numbers("epistemic edges", epistemic_edges)
         _check_edges("aleatory", aleatory_edges, len(ALEATORY_LABELS), 0.0, 1.0)
         _check_edges("epistemic", epistemic_edges, len(EPISTEMIC_LABELS), 0.0, 0.25)
 
@@ -221,10 +221,10 @@ class LabelConfig:
             a_word, e_word = key
             if a_word not in ALEATORY_LABELS or e_word not in EPISTEMIC_LABELS:
                 raise InputError(f"unknown fuzzy pair {key!r}")
-            mean, variance = float(value[0]), float(value[1])
-            if not 0.0 <= mean <= 1.0 or variance < 0.0:
+            pair = _numbers(f"representative moments for {key!r}", value)
+            if len(pair) != 2 or not 0.0 <= pair[0] <= 1.0 or pair[1] < 0.0:
                 raise InputError(f"invalid representative moments for {key!r}: {value}")
-            representatives[(a_word, e_word)] = (mean, variance)
+            representatives[(a_word, e_word)] = pair
         return cls(aleatory_edges, epistemic_edges, representatives)
 
     @classmethod
@@ -236,7 +236,10 @@ class LabelConfig:
         if not isinstance(data, dict):
             raise InputError("label config must be a JSON object")
         overrides: dict[tuple[str, str], tuple[float, float]] = {}
-        for key, value in data.get("representatives", {}).items():
+        entries = data.get("representatives", {})
+        if not isinstance(entries, dict):
+            raise InputError("label config representatives must be a JSON object")
+        for key, value in entries.items():
             parts = key.split("/")
             if len(parts) != 2:
                 raise InputError(f"representative key must look like 'word/word': {key!r}")
@@ -254,9 +257,16 @@ class LabelConfig:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read label config {path!r}: {exc}") from None
         return cls.from_json(text)
+
+
+def _numbers(what: str, values) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be a list of numbers, got {values!r}") from None
 
 
 def _check_edges(kind: str, edges: tuple[float, ...], bins: int, lo: float, hi: float) -> None:

@@ -4,7 +4,8 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
 
 * ``prob``: arguments are kept or dropped independently and the query asks
   for the probability that the argument sits in some extension of the full
-  framework's theory, conditioned by forcing the query literal.
+  framework's theory, conditioned by labelling the negated query literal
+  zero on the shared, unconditioned theory circuit.
 * ``prob_c``: each subset of arguments induces a subgraph; the query asks
   for the total probability of the subgraphs that credulously accept the
   argument.
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping
-
-import numpy as np
 
 from .af import ArgumentationFramework, Semantics, _extension_masks, extensions
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
@@ -98,6 +97,20 @@ def _constellation_circuit(
     )
 
 
+# The model counts are cached under the circuits' own keys: a Circuit's
+# dataclass hash walks every node, so it must not key a cache.
+@lru_cache(maxsize=None)
+def _theory_count(af: ArgumentationFramework, semantics: Semantics) -> int:
+    return model_count(_theory_circuit(af, semantics))
+
+
+@lru_cache(maxsize=256)
+def _constellation_count(
+    af: ArgumentationFramework, semantics: Semantics, argument: str
+) -> int:
+    return model_count(_constellation_circuit(af, semantics, argument))
+
+
 def _finish_point(
     mean: float,
     config: LabelConfig | None,
@@ -119,12 +132,14 @@ def _run_query(
     circuit: Circuit,
     covariance: CovarianceSpec | None,
     config: LabelConfig | None,
+    forced: Mapping[str, bool],
 ) -> QueryResult:
     if graph.beta_mode:
-        return propagate(circuit, graph.beta_labels(), covariance, config)
+        return propagate(circuit, graph.beta_labels(), covariance, config, forced)
     if covariance is not None:
         raise InputError("covariances require beta labels")
     labelling = Labelling.from_point_probabilities(graph.point_means())
+    labelling = labelling.conditioned(forced, PROBABILITY.zero)
     return _finish_point(evaluate(circuit, PROBABILITY, labelling), config, circuit)
 
 
@@ -139,14 +154,14 @@ def prob(
     af = graph.framework
     af._require(argument)
     circuit = _theory_circuit(af, semantics)
-    result = _run_query(graph, condition(circuit, {argument: True}), covariance, config)
+    result = _run_query(graph, circuit, covariance, config, {argument: True})
     return replace(
         result,
         argument=argument,
         semantics=semantics,
         mode="prob",
         circuit_nodes=len(circuit.nodes),
-        model_count=model_count(circuit),
+        model_count=_theory_count(af, semantics),
     )
 
 
@@ -161,14 +176,14 @@ def prob_c(
     af = graph.framework
     af._require(argument)
     circuit = _constellation_circuit(af, semantics, argument)
-    result = _run_query(graph, circuit, covariance, config)
+    result = _run_query(graph, circuit, covariance, config, {})
     return replace(
         result,
         argument=argument,
         semantics=semantics,
         mode="prob-c",
         circuit_nodes=len(circuit.nodes),
-        model_count=model_count(circuit),
+        model_count=_constellation_count(af, semantics, argument),
     )
 
 
@@ -275,10 +290,16 @@ def mc_oracle(
     """Monte-Carlo moments: sample label draws, evaluate the circuit on each.
 
     Deterministic for a fixed seed; draws are consumed in sorted argument
-    order in fixed-size chunks.
+    order in fixed-size chunks. The circuit is conditioned by rebuilding it,
+    independently of the labelling route the queries take.
     """
+    # Imported here so that importing pargue, and every query, skips numpy.
+    import numpy as np
+
     if samples < 1:
         raise InputError(f"sample count must be positive, got {samples}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     if mode not in ("prob", "prob-c"):
         raise InputError(f"unknown query mode {mode!r}")
     af = graph.framework

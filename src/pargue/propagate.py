@@ -8,6 +8,10 @@ and one backward sweep) and Sigma holds the label variances plus any
 declared covariances. Both literals of an argument are functions of the
 same underlying probability, so a negative literal contributes its partial
 derivative with opposite sign.
+
+A query conditions the circuit through its labels: each literal that
+contradicts a forced query literal takes the value 0. That literal is a
+constant of the conditioned function, so it adds no partial derivative.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
-from .circuit import Circuit
+from .circuit import Circuit, _normalize_literals
 from .errors import InputError
 from .results import QueryResult
 
@@ -120,7 +124,9 @@ def _require_labels(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> None:
         raise InputError(f"missing labels for arguments: {', '.join(missing)}")
 
 
-def _forward(circuit: Circuit, means: Mapping[str, float]) -> list[float]:
+def _forward(
+    circuit: Circuit, means: Mapping[str, float], forced: Mapping[str, bool]
+) -> list[float]:
     values: list[float] = []
     for node in circuit.nodes:
         if node.kind == "true":
@@ -128,6 +134,9 @@ def _forward(circuit: Circuit, means: Mapping[str, float]) -> list[float]:
         elif node.kind == "false":
             values.append(0.0)
         elif node.kind == "lit":
+            if forced.get(node.var, node.positive) != node.positive:
+                values.append(0.0)
+                continue
             m = means[node.var]
             values.append(m if node.positive else 1.0 - m)
         elif node.kind == "and":
@@ -140,7 +149,9 @@ def _forward(circuit: Circuit, means: Mapping[str, float]) -> list[float]:
     return values
 
 
-def _backward(circuit: Circuit, values: list[float]) -> dict[str, float]:
+def _backward(
+    circuit: Circuit, values: list[float], forced: Mapping[str, bool]
+) -> dict[str, float]:
     partials = [0.0] * len(circuit.nodes)
     partials[circuit.root] = 1.0
     for i in range(len(circuit.nodes) - 1, -1, -1):
@@ -162,7 +173,11 @@ def _backward(circuit: Circuit, values: list[float]) -> dict[str, float]:
                 suffix *= values[node.children[t]]
     grads = dict.fromkeys(circuit.variables, 0.0)
     for i, node in enumerate(circuit.nodes):
-        if node.kind == "lit" and partials[i] != 0.0:
+        if (
+            node.kind == "lit"
+            and partials[i] != 0.0
+            and forced.get(node.var, node.positive) == node.positive
+        ):
             grads[node.var] += partials[i] if node.positive else -partials[i]
     return grads
 
@@ -171,7 +186,7 @@ def eval_mean(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> float:
     """Exact query mean: probability-semiring value at the label means."""
     _require_labels(circuit, labels)
     means = {v: labels[v].mean for v in circuit.variables}
-    value = _forward(circuit, means)[circuit.root]
+    value = _forward(circuit, means, {})[circuit.root]
     return min(max(value, 0.0), 1.0)
 
 
@@ -179,7 +194,7 @@ def gradients(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> dict[str, fl
     """Partial derivatives of the circuit value at the label means."""
     _require_labels(circuit, labels)
     means = {v: labels[v].mean for v in circuit.variables}
-    return _backward(circuit, _forward(circuit, means))
+    return _backward(circuit, _forward(circuit, means, {}), {})
 
 
 def propagate(
@@ -187,13 +202,19 @@ def propagate(
     labels: Mapping[str, BetaLabel],
     covariance: CovarianceSpec | None = None,
     config: LabelConfig | None = None,
+    forced: Mapping[str, bool] | Iterable[tuple[str, bool]] = (),
 ) -> QueryResult:
-    """Delta-method moments for the circuit under beta labels."""
+    """Delta-method moments for the circuit under beta labels.
+
+    ``forced`` conditions on query literals through the labels; the moments
+    equal those of ``condition(circuit, forced)`` up to float rounding.
+    """
     _require_labels(circuit, labels)
+    forced = _normalize_literals(forced, circuit.variables)
     means = {v: labels[v].mean for v in circuit.variables}
-    values = _forward(circuit, means)
+    values = _forward(circuit, means, forced)
     mean = min(max(values[circuit.root], 0.0), 1.0)
-    grads = _backward(circuit, values)
+    grads = _backward(circuit, values, forced)
 
     spread = {v: labels[v].variance for v in circuit.variables}
     variance = sum(grads[v] * grads[v] * spread[v] for v in circuit.variables)

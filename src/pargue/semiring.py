@@ -3,20 +3,20 @@
 On a smooth deterministic decomposable circuit, a single pass that maps
 literals through a labelling function, disjunctions through the semiring
 addition and conjunctions through its multiplication computes the algebraic
-model count. The probability and counting instances are provided; query
-conditioning reuses the same compiled circuit.
+model count. The probability and counting instances are provided. A query
+conditions the same compiled circuit through the labelling: each literal
+that contradicts the query is labelled with the semiring zero, so no node is
+rebuilt.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
+from .circuit import Circuit, _normalize_literals
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from .circuit import Circuit
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,15 @@ class Labelling:
         """Label every literal of the given variables with one value."""
         return cls({(v, s): value for v in variables for s in (True, False)})
 
+    def conditioned(self, forced: Mapping[str, bool], zero: Any) -> "Labelling":
+        """Copy with every literal that contradicts ``forced`` labelled ``zero``."""
+        values = dict(self._values)
+        for var, value in forced.items():
+            values[(var, not value)] = zero
+        return Labelling(values)
 
-def evaluate(circuit: "Circuit", semiring: Semiring, labelling: Labelling) -> Any:
+
+def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> Any:
     """One bottom-up pass; children precede parents in circuit storage."""
     values: list[Any] = []
     plus, times = semiring.plus, semiring.times
@@ -90,12 +97,16 @@ def evaluate(circuit: "Circuit", semiring: Semiring, labelling: Labelling) -> An
 
 
 def amc_query(
-    circuit: "Circuit",
+    circuit: Circuit,
     query: Mapping[str, bool] | Iterable[tuple[str, bool]],
     semiring: Semiring,
     labelling: Labelling,
 ) -> Any:
-    """Evaluate with the query literals forced true (their negations zeroed)."""
-    from .circuit import condition
+    """Evaluate with the query literals forced true (their negations zeroed).
 
-    return evaluate(condition(circuit, query), semiring, labelling)
+    On a deterministic decomposable circuit this equals evaluating
+    ``condition(circuit, query)``, because dropping a zero disjunct and
+    collapsing a conjunction with a zero factor are semiring identities.
+    """
+    forced = _normalize_literals(query, circuit.variables)
+    return evaluate(circuit, semiring, labelling.conditioned(forced, semiring.zero))

@@ -276,6 +276,29 @@ class TestExitCodes:
         assert code == 1
         assert "unlabeled arguments" in capsys.readouterr().err
 
+    def test_negative_oracle_seed(self, fact_files, capsys):
+        af_path, label_path = fact_files
+        argv = ["oracle", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "a"]
+        assert run(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+
+    @pytest.mark.parametrize("which", ["-f", "-l", "--cov", "PARGUE_LABEL_CONFIG"])
+    def test_file_not_utf8(self, fact_files, tmp_path, capsys, monkeypatch, which):
+        af_path, label_path = fact_files
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"% caf\xe9\narg(a).\n")
+        files = {"-f": af_path, "-l": label_path}
+        if which == "PARGUE_LABEL_CONFIG":
+            monkeypatch.setenv(which, str(bad))
+        else:
+            files[which] = str(bad)
+        argv = ["query", "-s", "AD", "-a", "a"]
+        for flag, path in files.items():
+            argv += [flag, path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and "utf-8" in err
+
     def test_capacity_refusal(self, tmp_path, capsys):
         path = tmp_path / "big.apx"
         path.write_text("".join(f"arg(n{i}).\n" for i in range(26)))
@@ -319,3 +342,14 @@ class TestLabelConfigOverride:
         code = run(["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_numeric_representative(self, fact_files, tmp_path, capsys, monkeypatch):
+        af_path, label_path = fact_files
+        config_path = tmp_path / "words.json"
+        config_path.write_text(
+            json.dumps({"representatives": {"likely/some_confidence": ["x", 0.01]}})
+        )
+        monkeypatch.setenv("PARGUE_LABEL_CONFIG", str(config_path))
+        code = run(["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: representative moments")

@@ -1,10 +1,16 @@
 """End-to-end acceptance queries and their independent oracles."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pargue
 from conftest import frameworks
 from pargue import (
     ArgumentationFramework,
@@ -17,10 +23,15 @@ from pargue import (
     Semantics,
     brute_force_prob,
     brute_force_prob_c,
+    condition,
     mc_oracle,
+    model_count,
     prob,
     prob_c,
+    propagate,
 )
+from pargue.engine import _theory_circuit
+from pargue.semiring import PROBABILITY, Labelling, evaluate
 
 CHAIN = ArgumentationFramework("abc", [("a", "b"), ("b", "c")])
 
@@ -106,6 +117,85 @@ class TestProbWorkedExample:
 
     def test_repeat_calls_are_stable(self, example_graph):
         assert prob(example_graph, Semantics.AD, "d") == prob(example_graph, Semantics.AD, "d")
+
+
+SELF_ATTACKER = ArgumentationFramework("abc", [("a", "a"), ("a", "b"), ("b", "c")])
+
+
+def _conditioning_frameworks(rng: random.Random) -> list[ArgumentationFramework]:
+    """Seeded frameworks of up to 10 arguments, then one with a self-attacker."""
+    cases = []
+    for _ in range(10):
+        names = [f"x{i}" for i in range(rng.randint(1, 10))]
+        attacks = [(s, t) for s in names for t in names if rng.random() < 0.25]
+        cases.append(ArgumentationFramework(names, attacks))
+    return cases + [SELF_ATTACKER]
+
+
+class TestLabellingConditioning:
+    """``prob`` labels the negated query literal zero on the shared theory
+    circuit; rebuilding the circuit with ``condition`` is the reference."""
+
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_matches_rebuilt_circuit(self, semantics):
+        rng = random.Random(2208)
+        for af in _conditioning_frameworks(rng):
+            points = {n: rng.choice([0.0, 1.0, rng.random()]) for n in af.arguments}
+            betas = {
+                n: BetaLabel(rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0))
+                for n in af.arguments
+            }
+            names = af.arguments
+            covariance = CovarianceSpec.from_pairs(
+                names,
+                {
+                    (a, b): rng.uniform(-0.9, 0.9)
+                    * math.sqrt(betas[a].variance * betas[b].variance)
+                    for i, a in enumerate(names)
+                    for b in names[i + 1 :]
+                },
+            )
+            point_graph = ProbabilisticGraph(af, points)
+            beta_graph = ProbabilisticGraph(af, betas)
+            theory = _theory_circuit(af, semantics)
+            for name in names:
+                rebuilt = condition(theory, {name: True})
+                got = prob(point_graph, semantics, name)
+                want = evaluate(
+                    rebuilt, PROBABILITY, Labelling.from_point_probabilities(points)
+                )
+                assert got.mean == pytest.approx(min(max(want, 0.0), 1.0), abs=1e-12)
+                assert got.model_count == model_count(theory)
+                assert got.circuit_nodes == len(theory.nodes)
+                for spec in (None, covariance):
+                    got = prob(beta_graph, semantics, name, covariance=spec)
+                    want = propagate(rebuilt, betas, spec)
+                    assert got.mean == pytest.approx(want.mean, abs=1e-12)
+                    assert got.variance == pytest.approx(want.variance, abs=1e-12)
+
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_self_attacker_is_exactly_zero(self, semantics):
+        labels = {"a": BetaLabel(5.0, 1.5), "b": BetaLabel(2.0, 2.0), "c": 0.9}
+        for graph in (
+            ProbabilisticGraph(SELF_ATTACKER, labels),
+            ProbabilisticGraph(SELF_ATTACKER, {"a": 0.8, "b": 0.5, "c": 0.9}),
+        ):
+            result = prob(graph, semantics, "a")
+            assert result.mean == 0.0
+            assert result.variance == 0.0
+
+
+def test_import_skips_numpy():
+    # numpy serves the Monte-Carlo oracle alone; queries must not pay for it.
+    src = str(Path(pargue.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, pargue, pargue.cli; assert 'numpy' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+        timeout=60,
+    )
 
 
 class TestProbCWorkedExample:
