@@ -13,6 +13,7 @@ format used by the standard `.nnf` file layout this module also emits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -253,25 +254,21 @@ def _variable_pattern(position: int, width: int) -> int:
     return mask
 
 
-def _truth_masks(circuit: Circuit, ids: Iterable[int], order: dict[str, int]) -> dict[int, int]:
+def _truth_masks(
+    circuit: Circuit, order: dict[str, int], ids: Iterable[int] | None = None
+) -> list[int | None]:
+    """Truth table of each node: one bit per assignment of the ordered variables."""
+    from .semiring import Semiring, _walk
+
     width = len(order)
     full = (1 << (1 << width)) - 1
-    masks: dict[int, int] = {}
-    for i in sorted(ids):
-        node = circuit.nodes[i]
-        if node.kind == "true":
-            masks[i] = full
-        elif node.kind == "false":
-            masks[i] = 0
-        elif node.kind == "lit":
-            pattern = _variable_pattern(order[node.var], width)
-            masks[i] = pattern if node.positive else full ^ pattern
-        else:
-            value = full if node.kind == "and" else 0
-            for c in node.children:
-                value = value & masks[c] if node.kind == "and" else value | masks[c]
-            masks[i] = value
-    return masks
+    table: dict[tuple[str, bool], int] = {}
+    for var, position in order.items():
+        pattern = _variable_pattern(position, width)
+        table[var, True] = pattern
+        table[var, False] = full ^ pattern
+    truth = Semiring("truth table", operator.or_, operator.and_, 0, full)
+    return _walk(circuit, truth, table, ids)
 
 
 def _closure(circuit: Circuit, start: int) -> list[int]:
@@ -347,22 +344,18 @@ def validate(circuit: Circuit) -> ValidationReport:
             break
 
     bad_or = None
-    global_masks: dict[int, int] | None = None
+    global_masks = None
     if len(circuit.variables) <= MAX_EXACT_CHECK_VARIABLES:
-        order = {v: p for p, v in enumerate(circuit.variables)}
-        global_masks = _truth_masks(circuit, reach, order)
+        global_masks = _truth_masks(circuit, {v: p for p, v in enumerate(circuit.variables)})
     for i in reach:
         node = circuit.nodes[i]
         if node.kind != "or":
             continue
-        if global_masks is not None:
-            masks = global_masks
-        elif len(sets[i]) <= MAX_EXACT_CHECK_VARIABLES:
+        masks = global_masks
+        if masks is None and len(sets[i]) <= MAX_EXACT_CHECK_VARIABLES:
             order = {v: p for p, v in enumerate(sorted(sets[i]))}
-            masks = _truth_masks(circuit, _closure(circuit, i), order)
-        else:
-            masks = {}
-        if masks:
+            masks = _truth_masks(circuit, order, _closure(circuit, i))
+        if masks is not None:
             seen_mask = 0
             for c in node.children:
                 if masks[c] & seen_mask:

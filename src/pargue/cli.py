@@ -19,10 +19,10 @@ from typing import Iterator, Sequence
 from .af import ArgumentationFramework, Semantics, extensions
 from .beta import DEFAULT_LABEL_CONFIG, BetaLabel, FuzzyLabel, LabelConfig, from_fuzzy
 from .circuit import model_count, validate, write_nnf
-from .encode import encode, encode_enumerative
 from .engine import (
     MAX_BRUTE_FORCE_ARGUMENTS,
     ProbabilisticGraph,
+    _theory,
     _theory_circuit,
     brute_force_prob,
     mc_oracle,
@@ -330,11 +330,7 @@ def _cmd_check(ns: argparse.Namespace, config: LabelConfig) -> int:
         )
     else:
         expected = set(extensions(af, semantics))
-        if semantics in (Semantics.GR, Semantics.PR):
-            theory = encode_enumerative(af, semantics)
-        else:
-            theory = encode(af, semantics)
-        got = set(models(theory, af.arguments))
+        got = set(models(_theory(af, semantics), af.arguments))
         if got == expected:
             print(f"ok: theory models match extensions ({len(expected)})")
         else:

@@ -27,6 +27,7 @@ from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, compile_formula, condition, model_count
 from .encode import encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
+from .formula import Formula
 from .propagate import CovarianceSpec, propagate
 from .results import QueryResult
 from .semiring import PROBABILITY, Labelling, evaluate
@@ -78,14 +79,17 @@ class ProbabilisticGraph:
         }
 
 
+def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
+    """The framework's theory: GR and PR by enumeration, the rest directly."""
+    if semantics in (Semantics.GR, Semantics.PR):
+        return encode_enumerative(af, semantics)
+    return encode(af, semantics)
+
+
 @lru_cache(maxsize=None)
 def _theory_circuit(af: ArgumentationFramework, semantics: Semantics) -> Circuit:
     """Compiled theory of the full framework, shared by all its queries."""
-    if semantics in (Semantics.GR, Semantics.PR):
-        theory = encode_enumerative(af, semantics)
-    else:
-        theory = encode(af, semantics)
-    return compile_formula(theory, variables=af.arguments)
+    return compile_formula(_theory(af, semantics), variables=af.arguments)
 
 
 @lru_cache(maxsize=256)
@@ -160,7 +164,6 @@ def prob(
         argument=argument,
         semantics=semantics,
         mode="prob",
-        circuit_nodes=len(circuit.nodes),
         model_count=_theory_count(af, semantics),
     )
 
@@ -182,7 +185,6 @@ def prob_c(
         argument=argument,
         semantics=semantics,
         mode="prob-c",
-        circuit_nodes=len(circuit.nodes),
         model_count=_constellation_count(af, semantics, argument),
     )
 
@@ -216,12 +218,10 @@ def _mixture_moments(
     seconds = [labels[n].second_moment for n in names]
 
     mean = 0.0
-    weights = []
     for mask in masks:
         w = 1.0
         for i in range(len(names)):
             w *= means[i] if mask >> i & 1 else 1.0 - means[i]
-        weights.append(w)
         mean += w
 
     square = 0.0
@@ -323,26 +323,11 @@ def mc_oracle(
                 draws[name] = np.full(chunk, label.point)
             else:
                 draws[name] = rng.beta(label.alpha, label.beta, size=chunk)
-        values: list[np.ndarray | float] = []
-        for node in circuit.nodes:
-            if node.kind == "true":
-                values.append(1.0)
-            elif node.kind == "false":
-                values.append(0.0)
-            elif node.kind == "lit":
-                d = draws[node.var]
-                values.append(d if node.positive else 1.0 - d)
-            elif node.kind == "and":
-                acc: np.ndarray | float = 1.0
-                for c in node.children:
-                    acc = acc * values[c]
-                values.append(acc)
-            else:
-                acc = 0.0
-                for c in node.children:
-                    acc = acc + values[c]
-                values.append(acc)
-        root = np.broadcast_to(np.asarray(values[circuit.root], dtype=float), (chunk,))
+        labelling = Labelling(
+            {(v, s): d if s else 1.0 - d for v, d in draws.items() for s in (True, False)}
+        )
+        value = evaluate(circuit, PROBABILITY, labelling)
+        root = np.broadcast_to(np.asarray(value, dtype=float), (chunk,))
         total += float(root.sum())
         total_sq += float(np.square(root).sum())
         done += chunk

@@ -3,11 +3,13 @@
 The circuit's probability-semiring value, as a function of the per-argument
 probabilities, is a multilinear polynomial. Evaluating it at the label
 means gives the exact query mean. The delta method approximates the query
-variance as g' Sigma g, where g is the gradient at the means (one forward
-and one backward sweep) and Sigma holds the label variances plus any
-declared covariances. Both literals of an argument are functions of the
-same underlying probability, so a negative literal contributes its partial
-derivative with opposite sign.
+variance as g' Sigma g, where g is the gradient at the means and Sigma
+holds the label variances plus any declared covariances. The forward sweep
+is the semiring module's one node walker in the probability semiring,
+labelled with the means; the backward sweep here turns its node values
+into partial derivatives. Both literals of an argument are functions of
+the same underlying probability, so a negative literal contributes its
+partial derivative with opposite sign.
 
 A query conditions the circuit through its labels: each literal that
 contradicts a forced query literal takes the value 0. That literal is a
@@ -27,6 +29,7 @@ from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, _normalize_literals
 from .errors import InputError
 from .results import QueryResult
+from .semiring import PROBABILITY, _walk
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,8 @@ class CovarianceSpec:
                 raise InputError(f"diagonal covariance for {a!r} is not user-supplied")
             key = (a, b) if a < b else (b, a)
             value = float(value)
+            if not math.isfinite(value):
+                raise InputError(f"covariance ({a},{b}) must be finite, got {value}")
             if key in entries and entries[key] != value:
                 raise InputError(f"conflicting covariance entries for {key}")
             entries[key] = value
@@ -93,9 +98,12 @@ def load_covariance_csv(text: str) -> CovarianceSpec:
         if len(cells) != len(header) + 1:
             raise InputError(f"covariance row {cells[0]!r} has {len(cells) - 1} entries")
         try:
-            values.append([float(cell) for cell in cells[1:]])
+            row_values = [float(cell) for cell in cells[1:]]
         except ValueError as exc:
             raise InputError(f"covariance row {cells[0]!r}: {exc}") from None
+        if not all(map(math.isfinite, row_values)):
+            raise InputError(f"covariance row {cells[0]!r}: entries must be finite")
+        values.append(row_values)
 
     pairs: dict[tuple[str, str], float] = {}
     noisy_diagonal = False
@@ -125,28 +133,16 @@ def _require_labels(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> None:
 
 
 def _forward(
-    circuit: Circuit, means: Mapping[str, float], forced: Mapping[str, bool]
+    circuit: Circuit, labels: Mapping[str, BetaLabel], forced: Mapping[str, bool]
 ) -> list[float]:
-    values: list[float] = []
-    for node in circuit.nodes:
-        if node.kind == "true":
-            values.append(1.0)
-        elif node.kind == "false":
-            values.append(0.0)
-        elif node.kind == "lit":
-            if forced.get(node.var, node.positive) != node.positive:
-                values.append(0.0)
-                continue
-            m = means[node.var]
-            values.append(m if node.positive else 1.0 - m)
-        elif node.kind == "and":
-            acc = 1.0
-            for c in node.children:
-                acc *= values[c]
-            values.append(acc)
-        else:
-            values.append(sum(values[c] for c in node.children))
-    return values
+    table: dict[tuple[str, bool], float] = {}
+    for var in circuit.variables:
+        m = labels[var].mean
+        table[var, True] = m
+        table[var, False] = 1.0 - m
+    for var, value in forced.items():
+        table[var, not value] = 0.0
+    return _walk(circuit, PROBABILITY, table)
 
 
 def _backward(
@@ -185,16 +181,14 @@ def _backward(
 def eval_mean(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> float:
     """Exact query mean: probability-semiring value at the label means."""
     _require_labels(circuit, labels)
-    means = {v: labels[v].mean for v in circuit.variables}
-    value = _forward(circuit, means, {})[circuit.root]
+    value = _forward(circuit, labels, {})[circuit.root]
     return min(max(value, 0.0), 1.0)
 
 
 def gradients(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> dict[str, float]:
     """Partial derivatives of the circuit value at the label means."""
     _require_labels(circuit, labels)
-    means = {v: labels[v].mean for v in circuit.variables}
-    return _backward(circuit, _forward(circuit, means, {}), {})
+    return _backward(circuit, _forward(circuit, labels, {}), {})
 
 
 def propagate(
@@ -211,15 +205,14 @@ def propagate(
     """
     _require_labels(circuit, labels)
     forced = _normalize_literals(forced, circuit.variables)
-    means = {v: labels[v].mean for v in circuit.variables}
-    values = _forward(circuit, means, forced)
+    values = _forward(circuit, labels, forced)
     mean = min(max(values[circuit.root], 0.0), 1.0)
     grads = _backward(circuit, values, forced)
 
     spread = {v: labels[v].variance for v in circuit.variables}
     variance = sum(grads[v] * grads[v] * spread[v] for v in circuit.variables)
     if covariance is not None:
-        unknown = [a for a in covariance.arguments if a not in means]
+        unknown = [a for a in covariance.arguments if a not in circuit.variables]
         if unknown:
             raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
         for (a, b), value in sorted(covariance.off_diagonal.items()):

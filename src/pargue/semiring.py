@@ -7,6 +7,11 @@ model count. The probability and counting instances are provided. A query
 conditions the same compiled circuit through the labelling: each literal
 that contradicts the query is labelled with the semiring zero, so no node is
 rebuilt.
+
+``_walk`` is the package's one forward pass over circuit nodes. Besides
+``evaluate`` it serves the moment propagation (probability semiring at the
+label means), the Monte-Carlo oracle (probability semiring over numpy draw
+arrays) and the determinism validator (truth tables as bitsets under or/and).
 """
 
 from __future__ import annotations
@@ -34,6 +39,11 @@ PROBABILITY = Semiring("probability", operator.add, operator.mul, 0.0, 1.0)
 COUNTING = Semiring("counting", operator.add, operator.mul, 0, 1)
 
 
+def _missing_label(var: str, positive: bool) -> InputError:
+    sign = "" if positive else "~"
+    return InputError(f"missing label for literal {sign}{var}")
+
+
 class Labelling:
     """Total map from literals to semiring values."""
 
@@ -44,8 +54,7 @@ class Labelling:
         try:
             return self._values[(var, positive)]
         except KeyError:
-            sign = "" if positive else "~"
-            raise InputError(f"missing label for literal {sign}{var}") from None
+            raise _missing_label(var, positive) from None
 
     @classmethod
     def from_point_probabilities(cls, weights: Mapping[str, float]) -> "Labelling":
@@ -72,28 +81,45 @@ class Labelling:
         return Labelling(values)
 
 
-def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> Any:
-    """One bottom-up pass; children precede parents in circuit storage."""
-    values: list[Any] = []
-    plus, times = semiring.plus, semiring.times
-    for node in circuit.nodes:
-        if node.kind == "true":
-            values.append(semiring.one)
-        elif node.kind == "false":
-            values.append(semiring.zero)
-        elif node.kind == "lit":
-            values.append(labelling(node.var, node.positive))
-        elif node.kind == "and":
-            acc = semiring.one
+def _walk(
+    circuit: Circuit,
+    semiring: Semiring,
+    table: Mapping[tuple[str, bool], Any],
+    ids: Iterable[int] | None = None,
+) -> list[Any]:
+    """Value of every node, read bottom-up; children precede parents.
+
+    ``table`` maps literals to values. With ``ids``, a child-closed set of
+    node indices, only those nodes are valued and the rest stay ``None``.
+    """
+    nodes = circuit.nodes
+    plus, times, zero, one = semiring.plus, semiring.times, semiring.zero, semiring.one
+    values: list[Any] = [None] * len(nodes)
+    for i in range(len(nodes)) if ids is None else sorted(ids):
+        node = nodes[i]
+        kind = node.kind
+        if kind == "lit":
+            try:
+                value = table[node.var, node.positive]
+            except KeyError:
+                raise _missing_label(node.var, node.positive) from None
+        elif kind == "and":
+            value = one
             for c in node.children:
-                acc = times(acc, values[c])
-            values.append(acc)
+                value = times(value, values[c])
+        elif kind == "or":
+            value = zero
+            for c in node.children:
+                value = plus(value, values[c])
         else:
-            acc = semiring.zero
-            for c in node.children:
-                acc = plus(acc, values[c])
-            values.append(acc)
-    return values[circuit.root]
+            value = one if kind == "true" else zero
+        values[i] = value
+    return values
+
+
+def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> Any:
+    """Algebraic model count: the root's value after one bottom-up pass."""
+    return _walk(circuit, semiring, labelling._values)[circuit.root]
 
 
 def amc_query(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -10,6 +12,7 @@ from pargue import (
     FALSE,
     PROBABILITY,
     TRUE,
+    ArgumentationFramework,
     CapacityError,
     Circuit,
     InputError,
@@ -82,6 +85,17 @@ class TestCompile:
                 1 for _ in models(encode(af, semantics), af.arguments)
             )
 
+    @pytest.mark.parametrize("n", [21, 23, 25])
+    def test_wide_theory_circuits_validate(self, n):
+        # Past 20 variables, determinism is checked one disjunction at a time.
+        rng = random.Random(n)
+        names = [f"x{i:02d}" for i in range(n)]
+        attacks = rng.sample([(s, t) for s in names for t in names], round(1.5 * n))
+        af = ArgumentationFramework(names, attacks)
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
+            c = compile_formula(encode(af, semantics), variables=names)
+            assert validate(c).all_passed
+
 
 class TestSmoothing:
     def test_idempotent(self, example_af):
@@ -116,6 +130,23 @@ class TestValidate:
             Node("or", children=(0, 2)),
         )
         report = validate(Circuit(nodes, 3, ("a", "b")))
+        assert not report.deterministic
+        assert report.first_nondeterministic == 3
+
+    def test_overlapping_disjunction_flagged_past_exact_width(self):
+        # (a | (a & b)) & x00 & ... & x19: 22 variables, so the disjunction's
+        # truth table is built over its own two variables only
+        extra = [f"x{i:02d}" for i in range(20)]
+        nodes = [
+            Node("lit", var="a"),
+            Node("lit", var="b"),
+            Node("and", children=(0, 1)),
+            Node("or", children=(0, 2)),
+        ]
+        nodes += [Node("lit", var=v) for v in extra]
+        nodes.append(Node("and", children=tuple(range(3, len(nodes)))))
+        report = validate(Circuit(tuple(nodes), len(nodes) - 1, ("a", "b", *extra)))
+        assert report.decomposable
         assert not report.deterministic
         assert report.first_nondeterministic == 3
 

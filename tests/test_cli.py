@@ -319,6 +319,19 @@ class TestCovarianceFlag:
         # both gradients are positive, so positive covariance adds variance
         assert wide > base
 
+    def test_non_finite_covariance_rejected(self, tmp_path, capsys):
+        af_path = tmp_path / "af.apx"
+        af_path.write_text("arg(a). arg(b). att(a,b).\n")
+        label_path = tmp_path / "labels.apx"
+        label_path.write_text("beta(a,2,3). beta(b,4,1).\n")
+        cov_path = tmp_path / "cov.csv"
+        cov_path.write_text("id,a,b\na,0,inf\nb,inf,0\n")
+        argv = ["query", "-f", str(af_path), "-l", str(label_path), "-s", "AD", "-a", "a"]
+        assert run(argv + ["--cov", str(cov_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
 
 class TestLabelConfigOverride:
     def test_environment_config_changes_words(self, fact_files, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """End-to-end acceptance queries and their independent oracles."""
 
+import ast
+import importlib
 import math
 import os
 import random
@@ -198,6 +200,23 @@ def test_import_skips_numpy():
     )
 
 
+def test_benchmark_wrapped_names_resolve():
+    # benchmark/spans.py wraps these (module, attribute) pairs at run time;
+    # a renamed function would silently drop a layer from the traces.
+    spans = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    wrapped = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED"
+    )
+    pairs = ast.literal_eval(wrapped)
+    assert pairs
+    for module_name, attribute in pairs:
+        module = importlib.import_module(f"pargue.{module_name}")
+        assert callable(getattr(module, attribute, None)), (module_name, attribute)
+
+
 class TestProbCWorkedExample:
     """Constellation queries under the reference beta labels."""
 
@@ -313,6 +332,11 @@ class TestMonteCarlo:
         first = mc_oracle(example_graph, Semantics.AD, "a", "prob", 5000, seed=7)
         second = mc_oracle(example_graph, Semantics.AD, "a", "prob", 5000, seed=7)
         assert first == second
+        # the exact moments of this seed, so a change in the draws or in the
+        # circuit evaluation shows up here
+        assert first == MomentPair(
+            float.fromhex("0x1.9176c578ff5bap-2"), float.fromhex("0x1.c3d8428e43ab0p-5")
+        )
         third = mc_oracle(example_graph, Semantics.AD, "a", "prob", 5000, seed=8)
         assert third != first
 

@@ -163,6 +163,11 @@ class TestCovarianceSpec:
         with pytest.raises(InputError, match="conflicting"):
             CovarianceSpec.from_pairs(["a", "b"], {("a", "b"): 0.01, ("b", "a"): 0.02})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(InputError, match="finite"):
+            CovarianceSpec.from_pairs(["a", "b"], {("a", "b"): value})
+
 
 class TestCovarianceCsv:
     def test_parse_symmetric_matrix(self):
@@ -181,6 +186,11 @@ class TestCovarianceCsv:
     def test_asymmetric_rejected(self):
         with pytest.raises(InputError, match="not symmetric"):
             load_covariance_csv("id,a,b\na,0,0.003\nb,0.004,0\n")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_rejected(self, cell):
+        with pytest.raises(InputError, match="finite"):
+            load_covariance_csv(f"id,a,b\na,0,{cell}\nb,{cell},0\n")
 
     def test_shape_and_id_mismatches_rejected(self):
         with pytest.raises(InputError, match="square"):
