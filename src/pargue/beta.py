@@ -264,9 +264,13 @@ class LabelConfig:
 
 def _numbers(what: str, values) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in values)
+        numbers = tuple(float(v) for v in values)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a list of numbers, got {values!r}") from None
+    # NaN passes no comparison, so it would slip through every range check.
+    if not all(map(math.isfinite, numbers)):
+        raise InputError(f"{what} must be finite, got {values!r}")
+    return numbers
 
 
 def _check_edges(kind: str, edges: tuple[float, ...], bins: int, lo: float, hi: float) -> None:

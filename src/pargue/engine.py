@@ -10,25 +10,28 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   for the total probability of the subgraphs that credulously accept the
   argument.
 
-Point labels evaluate in the probability semiring; beta labels go through
-first-order moment propagation. Every route has an independent oracle:
-exact enumeration over extensions or subgraphs (with the exact mixture
-variance), and a vectorized Monte-Carlo estimate.
+A point probability is a beta label of zero variance, so both kinds answer
+through the one path in ``propagate``, fed the moments each graph derives
+once. Every route has an independent oracle: exact enumeration over
+extensions or subgraphs (with the exact mixture variance), and a vectorized
+Monte-Carlo estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping
 
 from .af import ArgumentationFramework, Semantics, _extension_masks, extensions
-from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
+# moment_match, to_fuzzy and propagate are not called here, but must resolve:
+# benchmark/spans.py wraps them in this module.
+from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy  # noqa: F401
 from .circuit import Circuit, compile_formula, condition, model_count
 from .encode import encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
 from .formula import Formula
-from .propagate import CovarianceSpec, propagate
+from .propagate import CovarianceSpec, _answer, propagate  # noqa: F401
 from .results import QueryResult
 from .semiring import PROBABILITY, Labelling, evaluate
 
@@ -38,10 +41,16 @@ _MC_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class ProbabilisticGraph:
-    """Framework plus one label (point probability or beta) per argument."""
+    """Framework plus one label (point probability or beta) per argument.
+
+    Label moments are derived once: literal probabilities at the label means,
+    and each label's variance (zero for a point probability).
+    """
 
     framework: ArgumentationFramework
     labels: Mapping[str, float | BetaLabel]
+    means: Labelling = field(init=False, repr=False, compare=False)
+    variances: Mapping[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = set(self.framework.arguments)
@@ -53,13 +62,16 @@ class ProbabilisticGraph:
         if extra:
             raise InputError(f"labels for unknown arguments: {', '.join(extra)}")
         for name, label in given.items():
-            if isinstance(label, BetaLabel):
-                continue
-            p = float(label)
-            if not 0.0 <= p <= 1.0:
-                raise InputError(f"probability for {name!r} out of [0,1]: {p}")
-            given[name] = p
+            if not isinstance(label, BetaLabel):
+                given[name] = float(label)
         object.__setattr__(self, "labels", given)
+        # Rejects a point probability outside [0,1].
+        object.__setattr__(self, "means", Labelling.from_point_probabilities(self.point_means()))
+        variances = {
+            name: label.variance if isinstance(label, BetaLabel) else 0.0
+            for name, label in given.items()
+        }
+        object.__setattr__(self, "variances", variances)
 
     @property
     def beta_mode(self) -> bool:
@@ -115,22 +127,6 @@ def _constellation_count(
     return model_count(_constellation_circuit(af, semantics, argument))
 
 
-def _finish_point(
-    mean: float,
-    config: LabelConfig | None,
-    circuit: Circuit,
-) -> QueryResult:
-    mean = min(max(mean, 0.0), 1.0)
-    matched = moment_match(MomentPair(mean, 0.0))
-    return QueryResult(
-        mean=mean,
-        variance=0.0,
-        matched=matched,
-        fuzzy=to_fuzzy(matched, config),
-        circuit_nodes=len(circuit.nodes),
-    )
-
-
 def _run_query(
     graph: ProbabilisticGraph,
     circuit: Circuit,
@@ -138,13 +134,9 @@ def _run_query(
     config: LabelConfig | None,
     forced: Mapping[str, bool],
 ) -> QueryResult:
-    if graph.beta_mode:
-        return propagate(circuit, graph.beta_labels(), covariance, config, forced)
-    if covariance is not None:
+    if covariance is not None and not graph.beta_mode:
         raise InputError("covariances require beta labels")
-    labelling = Labelling.from_point_probabilities(graph.point_means())
-    labelling = labelling.conditioned(forced, PROBABILITY.zero)
-    return _finish_point(evaluate(circuit, PROBABILITY, labelling), config, circuit)
+    return _answer(circuit, graph.means, graph.variances, covariance, config, forced)
 
 
 def prob(
@@ -178,14 +170,17 @@ def prob_c(
     """Total probability of the induced subgraphs accepting the argument."""
     af = graph.framework
     af._require(argument)
-    circuit = _constellation_circuit(af, semantics, argument)
+    # Credulous acceptance is the same under AD, CO and PR (Dung 1995), so
+    # the three share AD's constellation circuit and count.
+    key = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics
+    circuit = _constellation_circuit(af, key, argument)
     result = _run_query(graph, circuit, covariance, config, {})
     return replace(
         result,
         argument=argument,
         semantics=semantics,
         mode="prob-c",
-        model_count=_constellation_count(af, semantics, argument),
+        model_count=_constellation_count(af, key, argument),
     )
 
 
@@ -197,10 +192,10 @@ def _check_brute_capacity(af: ArgumentationFramework) -> None:
         )
 
 
-def _mask_weight(af: ArgumentationFramework, mask: int, means: Mapping[str, float]) -> float:
+def _mask_weight(mask: int, means: list[float]) -> float:
+    """Probability of exactly the arguments in ``mask``, means in argument order."""
     weight = 1.0
-    for i, name in enumerate(af.arguments):
-        m = means[name]
+    for i, m in enumerate(means):
         weight *= m if mask >> i & 1 else 1.0 - m
     return weight
 
@@ -216,13 +211,7 @@ def _mixture_moments(
     names = af.arguments
     means = [labels[n].mean for n in names]
     seconds = [labels[n].second_moment for n in names]
-
-    mean = 0.0
-    for mask in masks:
-        w = 1.0
-        for i in range(len(names)):
-            w *= means[i] if mask >> i & 1 else 1.0 - means[i]
-        mean += w
+    mean = sum((_mask_weight(mask, means) for mask in masks), 0.0)
 
     square = 0.0
     for x, mask_a in enumerate(masks):
@@ -256,8 +245,8 @@ def brute_force_prob(
     masks = [af._mask(e) for e in extensions(af, semantics)]
     masks = sorted(m for m in masks if m & bit)
     if not graph.beta_mode:
-        means = graph.point_means()
-        return sum(_mask_weight(af, m, means) for m in masks)
+        means = [graph.labels[n] for n in af.arguments]
+        return sum(_mask_weight(m, means) for m in masks)
     return _mixture_moments(af, masks, graph.beta_labels())
 
 
@@ -274,8 +263,8 @@ def brute_force_prob_c(
         if sub & bit and any(m & bit for m in _extension_masks(af, sub, semantics))
     ]
     if not graph.beta_mode:
-        means = graph.point_means()
-        return sum(_mask_weight(af, m, means) for m in masks)
+        means = [graph.labels[n] for n in af.arguments]
+        return sum(_mask_weight(m, means) for m in masks)
     return _mixture_moments(af, masks, graph.beta_labels())
 
 

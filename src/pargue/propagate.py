@@ -14,6 +14,10 @@ partial derivative with opposite sign.
 A query conditions the circuit through its labels: each literal that
 contradicts a forced query literal takes the value 0. That literal is a
 constant of the conditioned function, so it adds no partial derivative.
+
+``_answer`` serves point and beta labels alike, a point probability being
+a label of variance zero. With no nonzero variance or covariance it skips
+the backward sweep, whose every term would be multiplied by zero.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, _normalize_literals
 from .errors import InputError
 from .results import QueryResult
-from .semiring import PROBABILITY, _walk
+from .semiring import PROBABILITY, Labelling, _walk
 
 
 @dataclass(frozen=True)
@@ -126,23 +130,12 @@ def load_covariance_csv(text: str) -> CovarianceSpec:
     return CovarianceSpec.from_pairs(header, pairs)
 
 
-def _require_labels(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> None:
+def _means(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> Labelling:
+    """Probability labelling of the circuit's literals at the label means."""
     missing = [v for v in circuit.variables if v not in labels]
     if missing:
         raise InputError(f"missing labels for arguments: {', '.join(missing)}")
-
-
-def _forward(
-    circuit: Circuit, labels: Mapping[str, BetaLabel], forced: Mapping[str, bool]
-) -> list[float]:
-    table: dict[tuple[str, bool], float] = {}
-    for var in circuit.variables:
-        m = labels[var].mean
-        table[var, True] = m
-        table[var, False] = 1.0 - m
-    for var, value in forced.items():
-        table[var, not value] = 0.0
-    return _walk(circuit, PROBABILITY, table)
+    return Labelling.from_point_probabilities({v: labels[v].mean for v in circuit.variables})
 
 
 def _backward(
@@ -180,15 +173,58 @@ def _backward(
 
 def eval_mean(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> float:
     """Exact query mean: probability-semiring value at the label means."""
-    _require_labels(circuit, labels)
-    value = _forward(circuit, labels, {})[circuit.root]
+    value = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)[circuit.root]
     return min(max(value, 0.0), 1.0)
 
 
 def gradients(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> dict[str, float]:
     """Partial derivatives of the circuit value at the label means."""
-    _require_labels(circuit, labels)
-    return _backward(circuit, _forward(circuit, labels, {}), {})
+    values = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)
+    return _backward(circuit, values, {})
+
+
+def _answer(
+    circuit: Circuit,
+    means: Labelling,
+    variances: Mapping[str, float],
+    covariance: CovarianceSpec | None,
+    config: LabelConfig | None,
+    forced: Mapping[str, bool],
+) -> QueryResult:
+    """One answer: the mean, the delta-method variance and their rendering.
+
+    ``means`` labels each literal at the label means; ``variances`` maps
+    every argument to its label variance.
+    """
+    values = _walk(circuit, PROBABILITY, means.conditioned(forced, PROBABILITY.zero)._values)
+    mean = min(max(values[circuit.root], 0.0), 1.0)
+    variance = 0.0
+    if covariance is not None or any(variances[v] for v in circuit.variables):
+        grads = _backward(circuit, values, forced)
+        variance = sum(grads[v] * grads[v] * variances[v] for v in circuit.variables)
+        if covariance is not None:
+            unknown = [a for a in covariance.arguments if a not in circuit.variables]
+            if unknown:
+                raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
+            for (a, b), value in sorted(covariance.off_diagonal.items()):
+                bound = math.sqrt(variances[a] * variances[b])
+                if abs(value) > bound + 1e-12:
+                    warnings.warn(
+                        f"covariance ({a},{b})={value} exceeds the Cauchy-Schwarz "
+                        f"bound {bound:.6g}",
+                        stacklevel=3,
+                    )
+                variance += 2.0 * grads[a] * grads[b] * value
+        variance = max(variance, 0.0)
+
+    matched = moment_match(MomentPair(mean, variance))
+    return QueryResult(
+        mean=mean,
+        variance=variance,
+        matched=matched,
+        fuzzy=to_fuzzy(matched, config),
+        circuit_nodes=len(circuit.nodes),
+    )
 
 
 def propagate(
@@ -203,34 +239,7 @@ def propagate(
     ``forced`` conditions on query literals through the labels; the moments
     equal those of ``condition(circuit, forced)`` up to float rounding.
     """
-    _require_labels(circuit, labels)
+    means = _means(circuit, labels)
     forced = _normalize_literals(forced, circuit.variables)
-    values = _forward(circuit, labels, forced)
-    mean = min(max(values[circuit.root], 0.0), 1.0)
-    grads = _backward(circuit, values, forced)
-
-    spread = {v: labels[v].variance for v in circuit.variables}
-    variance = sum(grads[v] * grads[v] * spread[v] for v in circuit.variables)
-    if covariance is not None:
-        unknown = [a for a in covariance.arguments if a not in circuit.variables]
-        if unknown:
-            raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
-        for (a, b), value in sorted(covariance.off_diagonal.items()):
-            bound = math.sqrt(spread[a] * spread[b])
-            if abs(value) > bound + 1e-12:
-                warnings.warn(
-                    f"covariance ({a},{b})={value} exceeds the Cauchy-Schwarz "
-                    f"bound {bound:.6g}",
-                    stacklevel=2,
-                )
-            variance += 2.0 * grads[a] * grads[b] * value
-    variance = max(variance, 0.0)
-
-    matched = moment_match(MomentPair(mean, variance))
-    return QueryResult(
-        mean=mean,
-        variance=variance,
-        matched=matched,
-        fuzzy=to_fuzzy(matched, config),
-        circuit_nodes=len(circuit.nodes),
-    )
+    variances = {v: labels[v].variance for v in circuit.variables}
+    return _answer(circuit, means, variances, covariance, config, forced)

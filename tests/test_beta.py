@@ -276,6 +276,17 @@ class TestLabelConfig:
         with pytest.raises(InputError):
             LabelConfig.build(overrides={("likely", "some_confidence"): (2.0, 0.01)})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(InputError, match="finite"):
+            LabelConfig.build(epistemic_edges=(0.0, 0.001, 0.0119, value, 0.066, 0.25))
+        edges = list(DEFAULT_LABEL_CONFIG.aleatory_edges)
+        edges[4] = value
+        with pytest.raises(InputError, match="finite"):
+            LabelConfig.build(aleatory_edges=edges)
+        with pytest.raises(InputError, match="finite"):
+            LabelConfig.build(overrides={("likely", "some_confidence"): (0.7, value)})
+
     def test_from_json_overrides_representative(self):
         config = LabelConfig.from_json(
             json.dumps({"representatives": {"unlikely/high_confidence": [0.2, 0.004]}})

@@ -366,3 +366,15 @@ class TestLabelConfigOverride:
         code = run(["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: representative moments")
+
+    def test_non_finite_edge_is_an_input_error(self, fact_files, tmp_path, capsys, monkeypatch):
+        # NaN passes every ordering check, so it must be rejected as a number.
+        af_path, label_path = fact_files
+        config_path = tmp_path / "nan.json"
+        config_path.write_text('{"epistemic_edges": [0.0, 0.001, 0.0119, NaN, 0.066, 0.25]}')
+        monkeypatch.setenv("PARGUE_LABEL_CONFIG", str(config_path))
+        code = run(["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""

@@ -26,12 +26,14 @@ from pargue import (
     brute_force_prob,
     brute_force_prob_c,
     condition,
+    gradients,
     mc_oracle,
     model_count,
     prob,
     prob_c,
     propagate,
 )
+from pargue import engine
 from pargue.engine import _theory_circuit
 from pargue.semiring import PROBABILITY, Labelling, evaluate
 
@@ -185,6 +187,73 @@ class TestLabellingConditioning:
             result = prob(graph, semantics, "a")
             assert result.mean == 0.0
             assert result.variance == 0.0
+
+
+class TestOneAnswerPath:
+    """A point probability is a beta label of zero variance: both kinds of
+    label answer through the same path."""
+
+    @pytest.mark.parametrize("semantics", list(Semantics))
+    def test_point_graph_equals_degenerate_beta_twin(self, semantics):
+        rng = random.Random(5150)
+        for af in _conditioning_frameworks(rng)[:6]:
+            points = {n: rng.choice([0.0, 1.0, rng.random()]) for n in af.arguments}
+            twin = {n: BetaLabel.from_point(p) for n, p in points.items()}
+            point_graph = ProbabilisticGraph(af, points)
+            beta_graph = ProbabilisticGraph(af, twin)
+            for query in (prob, prob_c):
+                for name in af.arguments[:4]:
+                    got = query(point_graph, semantics, name)
+                    want = query(beta_graph, semantics, name)
+                    assert got.mean == want.mean
+                    assert got.variance == want.variance == 0.0
+                    assert got.matched == want.matched
+                    assert got.fuzzy == want.fuzzy
+
+    def test_covariance_on_degenerate_labels_runs_delta_method(self, example_af):
+        labels = {n: BetaLabel.from_point(p) for n, p in zip("abcd", (0.5, 0.6, 0.7, 0.8))}
+        graph = ProbabilisticGraph(example_af, labels)
+        spec = CovarianceSpec.from_pairs("abcd", {("a", "b"): 0.01})
+        with pytest.warns(UserWarning, match="Cauchy-Schwarz"):
+            result = prob(graph, Semantics.AD, "d", covariance=spec)
+        rebuilt = condition(_theory_circuit(example_af, Semantics.AD), {"d": True})
+        grads = gradients(rebuilt, labels)
+        assert grads["a"] > 0.0 and grads["b"] > 0.0
+        assert result.variance == pytest.approx(2.0 * grads["a"] * grads["b"] * 0.01, abs=1e-15)
+        assert prob(graph, Semantics.AD, "d").variance == 0.0
+
+    def test_prob_c_shares_the_admissible_circuit(self, monkeypatch):
+        # Credulous acceptance is the same under AD, CO and PR.
+        compiles = []
+        real = engine.compile_formula
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compile_formula", counting)
+        rng = random.Random(77)
+        for af in _conditioning_frameworks(rng)[:6]:
+            labels = {
+                n: BetaLabel(rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0))
+                for n in af.arguments
+            }
+            graph = ProbabilisticGraph(af, labels)
+            name = af.arguments[-1]
+            engine._constellation_circuit.cache_clear()
+            compiles.clear()
+            answers = {s: prob_c(graph, s, name) for s in (Semantics.AD, Semantics.CO, Semantics.PR)}
+            assert len(compiles) == 1
+            ad = answers[Semantics.AD]
+            for semantics, result in answers.items():
+                assert result.semantics is semantics
+                assert result.mean.hex() == ad.mean.hex()
+                assert result.variance.hex() == ad.variance.hex()
+                assert (result.matched, result.fuzzy) == (ad.matched, ad.fuzzy)
+                assert (result.model_count, result.circuit_nodes) == (
+                    ad.model_count,
+                    ad.circuit_nodes,
+                )
 
 
 def test_import_skips_numpy():
