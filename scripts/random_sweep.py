@@ -12,8 +12,10 @@ import argparse
 import random
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")  # allow running from a source checkout
+# allow running from a source checkout, from any directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pargue import (  # noqa: E402
     ProbabilisticGraph,

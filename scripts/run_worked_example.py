@@ -7,8 +7,13 @@ prior Beta(5, 1.5).
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from pargue import (
+# allow running from a source checkout, from any directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from pargue import (  # noqa: E402
     ArgumentationFramework,
     BetaLabel,
     ProbabilisticGraph,

@@ -18,12 +18,12 @@ from typing import Iterator, Sequence
 
 from .af import ArgumentationFramework, Semantics, extensions
 from .beta import DEFAULT_LABEL_CONFIG, BetaLabel, FuzzyLabel, LabelConfig, from_fuzzy
-from .circuit import model_count, validate, write_nnf
+from .circuit import validate, write_nnf
 from .engine import (
     MAX_BRUTE_FORCE_ARGUMENTS,
     ProbabilisticGraph,
+    _compiled,
     _theory,
-    _theory_circuit,
     brute_force_prob,
     mc_oracle,
     prob,
@@ -300,14 +300,14 @@ def _cmd_oracle(ns: argparse.Namespace, config: LabelConfig) -> int:
 
 def _cmd_compile(ns: argparse.Namespace, config: LabelConfig) -> int:
     af = parse_af(_read(ns.framework))
-    circuit = _theory_circuit(af, Semantics(ns.semantics))
+    circuit, count = _compiled(af, Semantics(ns.semantics), None)
     try:
         write_nnf(circuit, ns.output)
     except OSError as exc:
         raise InputError(f"cannot write {ns.output!r}: {exc}") from None
     print(
         f"wrote {ns.output}: {len(circuit.nodes)} nodes, {circuit.edge_count} edges, "
-        f"{len(circuit.variables)} vars, {model_count(circuit)} models"
+        f"{len(circuit.variables)} vars, {count} models"
     )
     return 0
 
@@ -315,7 +315,7 @@ def _cmd_compile(ns: argparse.Namespace, config: LabelConfig) -> int:
 def _cmd_check(ns: argparse.Namespace, config: LabelConfig) -> int:
     af = parse_af(_read(ns.framework))
     semantics = Semantics(ns.semantics)
-    circuit = _theory_circuit(af, semantics)
+    circuit, count = _compiled(af, semantics, None)
     report = validate(circuit)
     failed = False
     for prop in ("decomposable", "deterministic", "smooth"):
@@ -336,7 +336,6 @@ def _cmd_check(ns: argparse.Namespace, config: LabelConfig) -> int:
         else:
             print("fail: theory models do not match extensions")
             failed = True
-        count = model_count(circuit)
         if count == len(expected):
             print(f"ok: model count {count}")
         else:

@@ -10,27 +10,30 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   for the total probability of the subgraphs that credulously accept the
   argument.
 
-A point probability is a beta label of zero variance, so both kinds answer
-through the one path in ``propagate``, fed the moments each graph derives
-once. Every route has an independent oracle: exact enumeration over
-extensions or subgraphs (with the exact mixture variance), and a vectorized
-Monte-Carlo estimate.
+Both modes answer through ``_query``. It takes the circuit and its model
+count from ``_compiled``, one bounded cache of compiled targets (a
+framework's theory, or one argument's constellation). A point probability
+is a beta label of zero variance, so both label kinds get their moments from
+the one path in ``propagate``, fed the moments each graph derives once;
+``_query`` renders them into the answer's ``QueryResult``. Every route has
+an independent oracle: exact enumeration over extensions or subgraphs (with
+the exact mixture variance), and a vectorized Monte-Carlo estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
 from .af import ArgumentationFramework, Semantics, _extension_masks, extensions
-# moment_match, to_fuzzy and propagate are not called here, but must resolve:
-# benchmark/spans.py wraps them in this module.
-from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy  # noqa: F401
+from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, compile_formula, condition, model_count
 from .encode import encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
 from .formula import Formula
+# propagate is not called here, but must resolve: benchmark/spans.py wraps
+# it in this module.
 from .propagate import CovarianceSpec, _answer, propagate  # noqa: F401
 from .results import QueryResult
 from .semiring import PROBABILITY, Labelling, evaluate
@@ -98,45 +101,58 @@ def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
     return encode(af, semantics)
 
 
-@lru_cache(maxsize=None)
-def _theory_circuit(af: ArgumentationFramework, semantics: Semantics) -> Circuit:
-    """Compiled theory of the full framework, shared by all its queries."""
-    return compile_formula(_theory(af, semantics), variables=af.arguments)
-
-
 @lru_cache(maxsize=256)
-def _constellation_circuit(
-    af: ArgumentationFramework, semantics: Semantics, argument: str
-) -> Circuit:
-    return compile_formula(
-        encode_constellation(af, semantics, argument), variables=af.arguments
-    )
+def _compiled(
+    af: ArgumentationFramework, semantics: Semantics, argument: str | None
+) -> tuple[Circuit, int]:
+    """Compiled circuit and its model count, shared by all queries on it.
+
+    ``argument=None`` gives the framework's theory, an argument name that
+    argument's constellation. Always pass all three arguments, so that each
+    target has one cache key.
+    """
+    if argument is None:
+        formula = _theory(af, semantics)
+    else:
+        formula = encode_constellation(af, semantics, argument)
+    circuit = compile_formula(formula, variables=af.arguments)
+    return circuit, model_count(circuit)
 
 
-# The model counts are cached under the circuits' own keys: a Circuit's
-# dataclass hash walks every node, so it must not key a cache.
-@lru_cache(maxsize=None)
-def _theory_count(af: ArgumentationFramework, semantics: Semantics) -> int:
-    return model_count(_theory_circuit(af, semantics))
-
-
-@lru_cache(maxsize=256)
-def _constellation_count(
-    af: ArgumentationFramework, semantics: Semantics, argument: str
-) -> int:
-    return model_count(_constellation_circuit(af, semantics, argument))
-
-
-def _run_query(
+def _query(
     graph: ProbabilisticGraph,
-    circuit: Circuit,
+    semantics: Semantics,
+    argument: str,
+    mode: str,
     covariance: CovarianceSpec | None,
     config: LabelConfig | None,
-    forced: Mapping[str, bool],
 ) -> QueryResult:
+    af = graph.framework
+    af._require(argument)
+    if mode == "prob":
+        circuit, count = _compiled(af, semantics, None)
+        forced = {argument: True}
+    else:
+        # Credulous acceptance is the same under AD, CO and PR (Dung 1995),
+        # so the three share AD's constellation circuit and count.
+        key = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics
+        circuit, count = _compiled(af, key, argument)
+        forced = {}
     if covariance is not None and not graph.beta_mode:
         raise InputError("covariances require beta labels")
-    return _answer(circuit, graph.means, graph.variances, covariance, config, forced)
+    moments = _answer(circuit, graph.means, graph.variances, covariance, forced)
+    matched = moment_match(moments)
+    return QueryResult(
+        mean=moments.mean,
+        variance=moments.variance,
+        matched=matched,
+        fuzzy=to_fuzzy(matched, config),
+        argument=argument,
+        semantics=semantics,
+        mode=mode,
+        circuit_nodes=len(circuit.nodes),
+        model_count=count,
+    )
 
 
 def prob(
@@ -147,17 +163,7 @@ def prob(
     config: LabelConfig | None = None,
 ) -> QueryResult:
     """Probability that the argument is in some extension of the framework."""
-    af = graph.framework
-    af._require(argument)
-    circuit = _theory_circuit(af, semantics)
-    result = _run_query(graph, circuit, covariance, config, {argument: True})
-    return replace(
-        result,
-        argument=argument,
-        semantics=semantics,
-        mode="prob",
-        model_count=_theory_count(af, semantics),
-    )
+    return _query(graph, semantics, argument, "prob", covariance, config)
 
 
 def prob_c(
@@ -168,20 +174,7 @@ def prob_c(
     config: LabelConfig | None = None,
 ) -> QueryResult:
     """Total probability of the induced subgraphs accepting the argument."""
-    af = graph.framework
-    af._require(argument)
-    # Credulous acceptance is the same under AD, CO and PR (Dung 1995), so
-    # the three share AD's constellation circuit and count.
-    key = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics
-    circuit = _constellation_circuit(af, key, argument)
-    result = _run_query(graph, circuit, covariance, config, {})
-    return replace(
-        result,
-        argument=argument,
-        semantics=semantics,
-        mode="prob-c",
-        model_count=_constellation_count(af, key, argument),
-    )
+    return _query(graph, semantics, argument, "prob-c", covariance, config)
 
 
 def _check_brute_capacity(af: ArgumentationFramework) -> None:
@@ -294,9 +287,9 @@ def mc_oracle(
     af = graph.framework
     af._require(argument)
     if mode == "prob":
-        circuit = condition(_theory_circuit(af, semantics), {argument: True})
+        circuit = condition(_compiled(af, semantics, None)[0], {argument: True})
     else:
-        circuit = _constellation_circuit(af, semantics, argument)
+        circuit = _compiled(af, semantics, argument)[0]
     labels = graph.beta_labels()
 
     rng = np.random.default_rng(seed)

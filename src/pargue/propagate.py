@@ -16,8 +16,10 @@ contradicts a forced query literal takes the value 0. That literal is a
 constant of the conditioned function, so it adds no partial derivative.
 
 ``_answer`` serves point and beta labels alike, a point probability being
-a label of variance zero. With no nonzero variance or covariance it skips
-the backward sweep, whose every term would be multiplied by zero.
+a label of variance zero, and returns the mean and variance only: the
+engine's queries and ``propagate`` each render their own result. With no
+nonzero variance or covariance it skips the backward sweep, whose every
+term would be multiplied by zero.
 """
 
 from __future__ import annotations
@@ -188,10 +190,9 @@ def _answer(
     means: Labelling,
     variances: Mapping[str, float],
     covariance: CovarianceSpec | None,
-    config: LabelConfig | None,
     forced: Mapping[str, bool],
-) -> QueryResult:
-    """One answer: the mean, the delta-method variance and their rendering.
+) -> MomentPair:
+    """One answer's moments: the mean and the delta-method variance.
 
     ``means`` labels each literal at the label means; ``variances`` maps
     every argument to its label variance.
@@ -216,15 +217,7 @@ def _answer(
                     )
                 variance += 2.0 * grads[a] * grads[b] * value
         variance = max(variance, 0.0)
-
-    matched = moment_match(MomentPair(mean, variance))
-    return QueryResult(
-        mean=mean,
-        variance=variance,
-        matched=matched,
-        fuzzy=to_fuzzy(matched, config),
-        circuit_nodes=len(circuit.nodes),
-    )
+    return MomentPair(mean, variance)
 
 
 def propagate(
@@ -242,4 +235,12 @@ def propagate(
     means = _means(circuit, labels)
     forced = _normalize_literals(forced, circuit.variables)
     variances = {v: labels[v].variance for v in circuit.variables}
-    return _answer(circuit, means, variances, covariance, config, forced)
+    moments = _answer(circuit, means, variances, covariance, forced)
+    matched = moment_match(moments)
+    return QueryResult(
+        mean=moments.mean,
+        variance=moments.variance,
+        matched=matched,
+        fuzzy=to_fuzzy(matched, config),
+        circuit_nodes=len(circuit.nodes),
+    )

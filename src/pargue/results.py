@@ -13,8 +13,9 @@ class QueryResult:
     """Moments of one acceptance query plus its rendered labels.
 
     ``matched`` is the moment-matched beta label (degenerate when the
-    variance vanishes); identity and diagnostic fields are filled in by the
-    engine front end.
+    variance vanishes). The engine's queries set the identity and diagnostic
+    fields when they build the result; ``propagate`` knows only the circuit
+    and sets ``circuit_nodes`` alone.
     """
 
     mean: float

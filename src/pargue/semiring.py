@@ -75,10 +75,10 @@ class Labelling:
 
     def conditioned(self, forced: Mapping[str, bool], zero: Any) -> "Labelling":
         """Copy with every literal that contradicts ``forced`` labelled ``zero``."""
-        values = dict(self._values)
+        copy = Labelling(self._values)
         for var, value in forced.items():
-            values[(var, not value)] = zero
-        return Labelling(values)
+            copy._values[(var, not value)] = zero
+        return copy
 
 
 def _walk(

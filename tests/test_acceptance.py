@@ -36,7 +36,7 @@ from pargue import (
     to_fuzzy,
     validate,
 )
-from pargue.engine import _constellation_circuit, _theory_circuit
+from pargue.engine import _compiled
 
 
 def _record(number: int, description: str, check) -> None:
@@ -91,8 +91,7 @@ EXACT_VARIANCES = {
 
 def test_criterion_1_distribution_query_parameters(graph):
     def check():
-        _theory_circuit.cache_clear()
-        _constellation_circuit.cache_clear()
+        _compiled.cache_clear()
         start = time.perf_counter()
         results = {name: prob(graph, Semantics.AD, name) for name in "abcd"}
         elapsed = time.perf_counter() - start
@@ -235,7 +234,7 @@ def test_criterion_8_moment_propagation_accuracy(graph):
         for _ in range(50):
             af = random_framework(rng, max_args=5, density=0.3)
             labels = random_beta_labels(rng, af)
-            theory = _theory_circuit(af, Semantics.AD)
+            theory = _compiled(af, Semantics.AD, None)[0]
             circuit = condition(theory, {af.arguments[0]: True})
             grads = gradients(circuit, labels)
             step = 1e-5

@@ -34,7 +34,7 @@ from pargue import (
     propagate,
 )
 from pargue import engine
-from pargue.engine import _theory_circuit
+from pargue.engine import _compiled
 from pargue.semiring import PROBABILITY, Labelling, evaluate
 
 CHAIN = ArgumentationFramework("abc", [("a", "b"), ("b", "c")])
@@ -161,7 +161,7 @@ class TestLabellingConditioning:
             )
             point_graph = ProbabilisticGraph(af, points)
             beta_graph = ProbabilisticGraph(af, betas)
-            theory = _theory_circuit(af, semantics)
+            theory = _compiled(af, semantics, None)[0]
             for name in names:
                 rebuilt = condition(theory, {name: True})
                 got = prob(point_graph, semantics, name)
@@ -216,7 +216,7 @@ class TestOneAnswerPath:
         spec = CovarianceSpec.from_pairs("abcd", {("a", "b"): 0.01})
         with pytest.warns(UserWarning, match="Cauchy-Schwarz"):
             result = prob(graph, Semantics.AD, "d", covariance=spec)
-        rebuilt = condition(_theory_circuit(example_af, Semantics.AD), {"d": True})
+        rebuilt = condition(_compiled(example_af, Semantics.AD, None)[0], {"d": True})
         grads = gradients(rebuilt, labels)
         assert grads["a"] > 0.0 and grads["b"] > 0.0
         assert result.variance == pytest.approx(2.0 * grads["a"] * grads["b"] * 0.01, abs=1e-15)
@@ -240,7 +240,7 @@ class TestOneAnswerPath:
             }
             graph = ProbabilisticGraph(af, labels)
             name = af.arguments[-1]
-            engine._constellation_circuit.cache_clear()
+            engine._compiled.cache_clear()
             compiles.clear()
             answers = {s: prob_c(graph, s, name) for s in (Semantics.AD, Semantics.CO, Semantics.PR)}
             assert len(compiles) == 1
@@ -255,6 +255,44 @@ class TestOneAnswerPath:
                     ad.circuit_nodes,
                 )
 
+
+
+class TestCompiledCache:
+    """One bounded cache holds each compiled target with its model count."""
+
+    def test_warm_queries_neither_compile_nor_count(self, monkeypatch, example_graph):
+        calls = {"compile_formula": 0, "model_count": 0}
+        for name in calls:
+            real = getattr(engine, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counting)
+        engine._compiled.cache_clear()
+        for query in (prob, prob_c):
+            for semantics in Semantics:
+                cold = query(example_graph, semantics, "d")
+                before = dict(calls)
+                warm = query(example_graph, semantics, "d")
+                assert calls == before, (query.__name__, semantics)
+                assert warm == cold
+        # Six theories, plus four constellations: CO and PR share AD's.
+        assert calls == {"compile_formula": 10, "model_count": 10}
+
+    def test_cache_stays_bounded(self):
+        engine._compiled.cache_clear()
+        pairs = 0
+        for i in range(50):
+            af = ArgumentationFramework([f"a{i}", f"b{i}"], [(f"a{i}", f"b{i}")])
+            graph = ProbabilisticGraph(af, {f"a{i}": 0.5, f"b{i}": 0.25})
+            for semantics in Semantics:
+                prob(graph, semantics, f"b{i}")
+                pairs += 1
+        info = engine._compiled.cache_info()
+        assert pairs > 256 and info.misses == pairs
+        assert info.currsize <= 256
 
 def test_import_skips_numpy():
     # numpy serves the Monte-Carlo oracle alone; queries must not pay for it.
