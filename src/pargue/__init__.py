@@ -42,7 +42,6 @@ from .circuit import (
     condition,
     format_nnf,
     model_count,
-    smooth,
     validate,
     write_nnf,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "propagate",
     "restrict",
     "satisfies",
-    "smooth",
     "subgraph",
     "subgraph_extensions",
     "to_fuzzy",

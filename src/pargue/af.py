@@ -119,20 +119,13 @@ def attackers(af: ArgumentationFramework, argument: str) -> frozenset[str]:
 
 def attacked(af: ArgumentationFramework, group: Iterable[str]) -> frozenset[str]:
     """Arguments attacked by at least one member of the group."""
-    mask = af._mask(group)
-    hit = 0
-    for i in _bits(mask):
-        hit |= af._attacked_masks[i]
-    return af._members(hit)
+    return af._members(_attacked_by(af, af._full_mask, af._mask(group)))
 
 
 def is_conflict_free(af: ArgumentationFramework, group: Iterable[str]) -> bool:
     """True when no member of the group attacks another member."""
     mask = af._mask(group)
-    hit = 0
-    for i in _bits(mask):
-        hit |= af._attacked_masks[i]
-    return (hit & mask) == 0
+    return _attacked_by(af, mask, mask) == 0
 
 
 def characteristic(af: ArgumentationFramework, group: Iterable[str]) -> frozenset[str]:
@@ -203,25 +196,24 @@ def _sorted_sets(af: ArgumentationFramework, masks: Iterable[int]) -> tuple[froz
     return tuple(sorted(groups, key=lambda g: tuple(sorted(g))))
 
 
-def extensions(af: ArgumentationFramework, semantics: Semantics) -> tuple[frozenset[str], ...]:
-    """All extensions under the given semantics, sorted for determinism."""
+def _all_extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
     if len(af.arguments) > MAX_ENUMERATION_ARGUMENTS:
         raise CapacityError(
             f"extension enumeration supports at most {MAX_ENUMERATION_ARGUMENTS} arguments, "
             f"got {len(af.arguments)}"
         )
-    return _sorted_sets(af, _extension_masks(af, af._full_mask, semantics))
+    return _extension_masks(af, af._full_mask, semantics)
+
+
+def extensions(af: ArgumentationFramework, semantics: Semantics) -> tuple[frozenset[str], ...]:
+    """All extensions under the given semantics, sorted for determinism."""
+    return _sorted_sets(af, _all_extension_masks(af, semantics))
 
 
 def credulous(af: ArgumentationFramework, semantics: Semantics, argument: str) -> bool:
     """True when some extension under the semantics contains the argument."""
     bit = 1 << af._require(argument)
-    if len(af.arguments) > MAX_ENUMERATION_ARGUMENTS:
-        raise CapacityError(
-            f"extension enumeration supports at most {MAX_ENUMERATION_ARGUMENTS} arguments, "
-            f"got {len(af.arguments)}"
-        )
-    return any(m & bit for m in _extension_masks(af, af._full_mask, semantics))
+    return any(m & bit for m in _all_extension_masks(af, semantics))
 
 
 def subgraph(af: ArgumentationFramework, members: Iterable[str]) -> ArgumentationFramework:

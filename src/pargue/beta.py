@@ -62,16 +62,17 @@ class BetaLabel:
 
     def __post_init__(self) -> None:
         if self.point is None:
+            # The mean and variance divide by alpha + beta, which overflows
+            # to inf (and the mean to 0) for two finite parameters near 1e308.
             ok = (
-                math.isfinite(self.alpha)
-                and math.isfinite(self.beta)
+                math.isfinite(self.alpha + self.beta)
                 and self.alpha > 0
                 and self.beta > 0
             )
             if not ok:
                 raise InputError(
-                    f"beta parameters must be finite and positive, got "
-                    f"({self.alpha}, {self.beta})"
+                    f"beta parameters must be finite and positive with a finite "
+                    f"sum, got ({self.alpha}, {self.beta})"
                 )
         elif not 0.0 <= self.point <= 1.0:
             raise InputError(f"point mass out of [0,1]: {self.point}")
@@ -168,14 +169,18 @@ def moment_match(m: MomentPair) -> BetaLabel:
     """Beta label with the given mean and variance.
 
     The variance is first clamped under mean*(1-mean) (it cannot be reached
-    by any beta distribution); zero variance yields a degenerate label.
+    by any beta distribution); zero variance, or one so small that the
+    strength overflows, yields a degenerate label.
     """
     bound = m.mean * (1.0 - m.mean)
     variance = min(m.variance, VARIANCE_HEADROOM * bound)
     if variance <= 0.0:
         return BetaLabel.from_point(m.mean)
     strength = max(bound / variance - 1.0, MIN_STRENGTH)
-    return BetaLabel(m.mean * strength, (1.0 - m.mean) * strength)
+    alpha, beta = m.mean * strength, (1.0 - m.mean) * strength
+    if not math.isfinite(alpha + beta):
+        return BetaLabel.from_point(m.mean)
+    return BetaLabel(alpha, beta)
 
 
 def _bin(value: float, edges: tuple[float, ...]) -> int:

@@ -4,8 +4,9 @@ The compiler runs Shannon expansion over a fixed variable order (sorted
 argument ids), with unit propagation and a cache keyed on the simplified
 subformula, so shared subproblems become shared circuit nodes. Disjunctions
 always branch on a decision variable, which gives determinism by
-construction; decomposability falls out of conditioning; smoothing is a
-separate rewrite that pads branches with (v or not v) gap nodes.
+construction; decomposability falls out of conditioning; smoothness comes
+from padding, during the same expansion, each branch with (v or not v) gap
+nodes for the variables that simplification dropped.
 
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InputError, StructuralError
 from .formula import FALSE, TRUE, And, Formula, Lit, and_, assign
@@ -115,8 +116,9 @@ class _Builder:
 def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circuit:
     """Compile to a smooth deterministic decomposable circuit.
 
-    ``variables`` widens the declared variable set beyond vars(f); smoothing
-    then covers the extras, so model counts range over the full set.
+    ``variables`` widens the declared variable set beyond vars(f); the root
+    is padded with gap nodes for the extras, so model counts range over the
+    full set.
     """
     declared = tuple(sorted(set(variables))) if variables is not None else tuple(sorted(f.vars))
     extra = f.vars - set(declared)
@@ -131,7 +133,17 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
     builder = _Builder()
     seen: dict[Formula, int] = {}
 
+    def padded(parts: list[int], covered: Iterable[str], span: frozenset[str]) -> int:
+        # Conjoin a (v or not v) gap node for each variable of ``span`` that
+        # simplification dropped, so the result mentions exactly ``span``.
+        for v in sorted(span.difference(covered)):
+            parts.append(
+                builder.disj([builder.literal(v, True), builder.literal(v, False)], decision=v)
+            )
+        return builder.conj(parts)
+
     def build(g: Formula) -> int:
+        # The node mentions exactly g.vars, or is the false node.
         if g is TRUE:
             return builder.true()
         if g is FALSE:
@@ -154,92 +166,39 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
                     rest = assign(rest, u.var, u.positive)
                 parts = [builder.literal(u.var, u.positive) for u in units]
                 parts.append(build(rest))
-                result = builder.conj(parts)
+                result = padded(parts, rest.vars.union(u.var for u in units), g.vars)
             else:
                 v = min(g.vars)
-                high = builder.conj([builder.literal(v, True), build(assign(g, v, True))])
-                low = builder.conj([builder.literal(v, False), build(assign(g, v, False))])
-                result = builder.disj([high, low], decision=v)
+                branches = []
+                for value in (True, False):
+                    sub = assign(g, v, value)
+                    parts = [builder.literal(v, value), build(sub)]
+                    branches.append(padded(parts, sub.vars | {v}, g.vars))
+                result = builder.disj(branches, decision=v)
         seen[g] = result
         return result
 
-    root = build(f)
-    raw = Circuit(tuple(builder.nodes), root, declared, smoothed=False)
-    return smooth(raw, declared)
+    root = padded([build(f)], f.vars, frozenset(declared))
+    # Simplification leaves nodes the root no longer reaches; keep the rest
+    # in arena order, so children still precede parents and the root is last.
+    keep = _closure(builder.nodes, root)
+    position = {old: new for new, old in enumerate(keep)}
+    nodes = tuple(
+        Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
+        if n.children
+        else n
+        for n in (builder.nodes[i] for i in keep)
+    )
+    return Circuit(nodes, len(nodes) - 1, declared, smoothed=True)
 
 
 def _varsets(circuit: Circuit) -> list[frozenset[str]]:
-    sets: list[frozenset[str]] = []
-    for node in circuit.nodes:
-        if node.kind == "lit":
-            sets.append(frozenset((node.var,)))
-        elif node.children:
-            sets.append(frozenset().union(*(sets[c] for c in node.children)))
-        else:
-            sets.append(frozenset())
-    return sets
+    """Variables each node mentions, as one walk in a set-union semiring."""
+    from .semiring import Semiring, _walk
 
-
-def smooth(circuit: Circuit, variables: Iterable[str] | None = None) -> Circuit:
-    """Rewrite so every disjunction's branches mention the same variables.
-
-    Missing variables are padded in with (v or not v) gap nodes; the root is
-    padded up to the declared set. Model counts over the declared set are
-    unchanged. The rebuild also drops unreachable nodes.
-    """
-    declared = (
-        tuple(sorted(set(variables))) if variables is not None else circuit.variables
-    )
-    sets = _varsets(circuit)
-    extra = sets[circuit.root] - set(declared)
-    if extra:
-        raise InputError(f"circuit mentions undeclared variables {sorted(extra)}")
-
-    builder = _Builder()
-    rebuilt: dict[int, int] = {}
-    gaps: dict[str, int] = {}
-
-    def gap(v: str) -> int:
-        node = gaps.get(v)
-        if node is None:
-            node = builder.disj(
-                [builder.literal(v, True), builder.literal(v, False)], decision=v
-            )
-            gaps[v] = node
-        return node
-
-    def pad(index: int, missing: Iterable[str]) -> int:
-        parts = [index]
-        parts.extend(gap(v) for v in missing)
-        return builder.conj(parts)
-
-    def rebuild(i: int) -> int:
-        done = rebuilt.get(i)
-        if done is not None:
-            return done
-        node = circuit.nodes[i]
-        if node.kind == "true":
-            result = builder.true()
-        elif node.kind == "false":
-            result = builder.false()
-        elif node.kind == "lit":
-            result = builder.literal(node.var, node.positive)
-        elif node.kind == "and":
-            result = builder.conj([rebuild(c) for c in node.children])
-        else:
-            span = sets[i]
-            branches = [
-                pad(rebuild(c), sorted(span - sets[c])) for c in node.children
-            ]
-            result = builder.disj(branches, decision=node.decision)
-        rebuilt[i] = result
-        return result
-
-    root = rebuild(circuit.root)
-    root = pad(root, sorted(set(declared) - sets[circuit.root]))
-    # Children precede parents, so trimming at the root drops only orphans
-    # and leaves the root on the last line of the emitted format.
-    return Circuit(tuple(builder.nodes[: root + 1]), root, declared, smoothed=True)
+    union = Semiring("variable sets", frozenset.union, frozenset.union, frozenset(), frozenset())
+    table = {(n.var, n.positive): frozenset((n.var,)) for n in circuit.nodes if n.kind == "lit"}
+    return _walk(circuit, union, table)
 
 
 def _variable_pattern(position: int, width: int) -> int:
@@ -271,11 +230,11 @@ def _truth_masks(
     return _walk(circuit, truth, table, ids)
 
 
-def _closure(circuit: Circuit, start: int) -> list[int]:
+def _closure(nodes: Sequence[Node], start: int) -> list[int]:
     seen = {start}
     stack = [start]
     while stack:
-        for c in circuit.nodes[stack.pop()].children:
+        for c in nodes[stack.pop()].children:
             if c not in seen:
                 seen.add(c)
                 stack.append(c)
@@ -320,7 +279,7 @@ def validate(circuit: Circuit) -> ValidationReport:
     disjunction raises a capacity error rather than guessing.
     """
     sets = _varsets(circuit)
-    reach = _closure(circuit, circuit.root)
+    reach = _closure(circuit.nodes, circuit.root)
 
     bad_and = None
     for i in reach:
@@ -354,7 +313,7 @@ def validate(circuit: Circuit) -> ValidationReport:
         masks = global_masks
         if masks is None and len(sets[i]) <= MAX_EXACT_CHECK_VARIABLES:
             order = {v: p for p, v in enumerate(sorted(sets[i]))}
-            masks = _truth_masks(circuit, order, _closure(circuit, i))
+            masks = _truth_masks(circuit, order, _closure(circuit.nodes, i))
         if masks is not None:
             seen_mask = 0
             for c in node.children:

@@ -49,6 +49,11 @@ class TestBetaLabel:
         with pytest.raises(InputError):
             BetaLabel(alpha, beta)
 
+    def test_overflowing_strength_rejected(self):
+        # alpha + beta overflows, so the mean would read 0 instead of 0.5
+        with pytest.raises(InputError, match="finite"):
+            BetaLabel(1e308, 1e308)
+
     def test_point_mass_endpoints(self):
         zero = BetaLabel.from_point(0.0)
         one = BetaLabel.from_point(1.0)
@@ -142,6 +147,10 @@ class TestMomentMatch:
         assert moment_match(MomentPair(1.0, 0.0)) == BetaLabel.from_point(1.0)
         interior = moment_match(MomentPair(0.3, 0.0))
         assert interior.is_degenerate and interior.mean == 0.3
+
+    def test_subnormal_variance_yields_degenerate(self):
+        # the strength bound/variance - 1 overflows to inf
+        assert moment_match(MomentPair(0.25, 1e-310)) == BetaLabel.from_point(0.25)
 
     def test_infeasible_variance_clamped(self):
         # no beta distribution reaches variance mean*(1-mean); the match

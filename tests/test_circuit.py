@@ -27,7 +27,6 @@ from pargue import (
     format_nnf,
     model_count,
     models,
-    smooth,
     validate,
     var,
 )
@@ -42,12 +41,24 @@ def compiled_example(example_af):
     return compile_formula(encode(example_af, Semantics.AD), variables=NAMES)
 
 
+def assert_all_reachable(c):
+    reached = {c.root}
+    stack = [c.root]
+    while stack:
+        for child in c.nodes[stack.pop()].children:
+            if child not in reached:
+                reached.add(child)
+                stack.append(child)
+    assert reached == set(range(len(c.nodes)))
+    assert c.root == len(c.nodes) - 1
+
+
 class TestCompile:
     def test_constants(self):
         c = compile_formula(TRUE)
         assert len(c.nodes) == 1 and c.nodes[c.root].kind == "true"
         assert model_count(c) == 1
-        assert model_count(smooth(c, NAMES)) == 16
+        assert model_count(compile_formula(TRUE, variables=NAMES)) == 16
 
         c = compile_formula(FALSE, variables=NAMES)
         assert model_count(c) == 0
@@ -85,6 +96,15 @@ class TestCompile:
                 1 for _ in models(encode(af, semantics), af.arguments)
             )
 
+    @given(formulas())
+    def test_every_node_reachable(self, f):
+        assert_all_reachable(compile_formula(f, variables=NAMES))
+
+    @given(frameworks())
+    def test_every_theory_node_reachable(self, af):
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
+            assert_all_reachable(compile_formula(encode(af, semantics), variables=af.arguments))
+
     @pytest.mark.parametrize("n", [21, 23, 25])
     def test_wide_theory_circuits_validate(self, n):
         # Past 20 variables, determinism is checked one disjunction at a time.
@@ -98,21 +118,16 @@ class TestCompile:
 
 
 class TestSmoothing:
-    def test_idempotent(self, example_af):
-        c = compiled_example(example_af)
-        assert smooth(c) == c
-
     def test_widening_preserves_relative_count(self):
         c = compile_formula(var("a"))
         assert model_count(c) == 1
-        widened = smooth(c, NAMES)
+        widened = compile_formula(var("a"), variables=NAMES)
         assert widened.variables == NAMES
         assert model_count(widened) == 8  # 1 * 2^3 gap variables
 
     def test_narrowing_below_used_variables_rejected(self, example_af):
-        c = compiled_example(example_af)
         with pytest.raises(InputError):
-            smooth(c, ["a", "b"])
+            compile_formula(encode(example_af, Semantics.AD), variables=["a", "b"])
 
     def test_unsmoothed_count_refused(self):
         raw = Circuit((Node("lit", var="a"),), 0, ("a", "b"), smoothed=False)

@@ -240,9 +240,10 @@ class TestCheckCommand:
         assert "ok: prob matches brute force on 4 arguments" in out
         assert "fail" not in out
 
-    def test_enumerative_semantics_pass(self, fact_files, capsys):
+    @pytest.mark.parametrize("semantics", ["CF", "AD", "CO", "GR", "ST", "PR"])
+    def test_every_semantics_passes(self, fact_files, capsys, semantics):
         af_path, _ = fact_files
-        assert run(["check", "-f", af_path, "-s", "PR"]) == 0
+        assert run(["check", "-f", af_path, "-s", semantics]) == 0
         assert "fail" not in capsys.readouterr().out
 
 
@@ -298,6 +299,27 @@ class TestExitCodes:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read") and "utf-8" in err
+
+    def test_overflowing_beta_label(self, tmp_path, capsys):
+        # alpha + beta overflows, which used to answer mean=0.0 for a mean of 0.5
+        af_path = tmp_path / "af.apx"
+        af_path.write_text("arg(a).\n")
+        label_path = tmp_path / "labels.apx"
+        label_path.write_text("beta(a,1e308,1e308).\n")
+        assert run(["query", "-f", str(af_path), "-l", str(label_path), "-s", "AD", "-a", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
+    def test_subnormal_answer_variance_is_a_point_mass(self, tmp_path, capsys):
+        # The answer's variance is about 3e-310, so its moment-matched
+        # strength overflows; the label is rendered as a point mass.
+        af_path = tmp_path / "af.apx"
+        af_path.write_text("arg(a). arg(b). att(b,a).\n")
+        label_path = tmp_path / "labels.apx"
+        label_path.write_text("beta(a,2e307,1e308). prob(b,0.5).\n")
+        assert run(["query", "-f", str(af_path), "-l", str(label_path), "-s", "CF", "-a", "a"]) == 0
+        assert "Beta(inf, inf)" in capsys.readouterr().out
 
     def test_capacity_refusal(self, tmp_path, capsys):
         path = tmp_path / "big.apx"
