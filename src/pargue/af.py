@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, InputError
@@ -150,7 +150,6 @@ def _characteristic_mask(af: ArgumentationFramework, universe: int, mask: int) -
     return out
 
 
-@lru_cache(maxsize=None)
 def _extension_masks(af: ArgumentationFramework, universe: int, semantics: Semantics) -> tuple[int, ...]:
     """Extensions of the subgraph induced by ``universe``, as sorted bit masks."""
     if semantics is Semantics.GR:

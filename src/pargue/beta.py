@@ -170,7 +170,8 @@ def moment_match(m: MomentPair) -> BetaLabel:
 
     The variance is first clamped under mean*(1-mean) (it cannot be reached
     by any beta distribution); zero variance, or one so small that the
-    strength overflows, yields a degenerate label.
+    strength overflows, yields a degenerate label, and so does a mean so
+    close to 0 or 1 that a parameter underflows to zero.
     """
     bound = m.mean * (1.0 - m.mean)
     variance = min(m.variance, VARIANCE_HEADROOM * bound)
@@ -178,7 +179,7 @@ def moment_match(m: MomentPair) -> BetaLabel:
         return BetaLabel.from_point(m.mean)
     strength = max(bound / variance - 1.0, MIN_STRENGTH)
     alpha, beta = m.mean * strength, (1.0 - m.mean) * strength
-    if not math.isfinite(alpha + beta):
+    if not (math.isfinite(alpha + beta) and alpha > 0.0 and beta > 0.0):
         return BetaLabel.from_point(m.mean)
     return BetaLabel(alpha, beta)
 

@@ -177,7 +177,10 @@ def emit_json(result: QueryResult) -> str:
 
 def _beta_text(label: BetaLabel) -> str:
     def side(x: float) -> str:
-        return "inf" if math.isinf(x) else f"{x:.2f}"
+        if math.isinf(x):
+            return "inf"
+        # Past 1e15 a float has no hundredths left; show 6 significant digits.
+        return f"{x:.2f}" if x < 1e15 else f"{x:.6g}"
 
     return f"Beta({side(label.alpha)}, {side(label.beta)})"
 

@@ -4,10 +4,13 @@ Conflict-free, admissible, complete and stable semantics have direct
 structural encodings. Grounded and preferred are not closed under the model
 set of any such formula shape, so they go through the enumerative encoding.
 The constellation encoding describes, for one query argument, every induced
-subgraph in which that argument is credulously accepted.
+subgraph in which that argument is credulously accepted: by a closed form
+under CF, else by a scan of every subgraph's extensions (``_accepted``).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, reduce
 
 from .af import (
     ArgumentationFramework,
@@ -17,9 +20,9 @@ from .af import (
     extensions,
 )
 from .errors import CapacityError, InputError
-from .formula import Formula, and_, lit, not_, or_, var
+from .formula import FALSE, Formula, and_, lit, not_, or_, var
 
-# Constellation work scans all 2^n induced subgraphs.
+# The constellation scan visits all 3^n (subgraph, subset) pairs.
 MAX_CONSTELLATION_ARGUMENTS = 20
 
 
@@ -84,24 +87,37 @@ def encode_enumerative(af: ArgumentationFramework, semantics: Semantics) -> Form
     return or_(_assignment_conjunction(af, m) for m in sorted(inside))
 
 
-def encode_constellation(
-    af: ArgumentationFramework, semantics: Semantics, argument: str
-) -> Formula:
-    """Theory of the induced subgraphs that credulously accept the argument.
-
-    Each model is a full assignment naming the arguments present in one
-    accepting subgraph.
-    """
-    bit = 1 << af._require(argument)
+# One prob-c benchmark corpus touches 36 (framework, semantics) pairs, in the
+# process that checks it against the oracles; this holds them with room.
+@lru_cache(maxsize=64)
+def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
+    """Per subgraph mask, the union of the induced subgraph's extensions:
+    the arguments credulously accepted there."""
     if len(af.arguments) > MAX_CONSTELLATION_ARGUMENTS:
         raise CapacityError(
             f"constellation encoding supports at most {MAX_CONSTELLATION_ARGUMENTS} "
             f"arguments, got {len(af.arguments)}"
         )
-    terms = []
-    for sub in range(1 << len(af.arguments)):
-        if sub & bit and any(
-            m & bit for m in _extension_masks(af, sub, semantics)
-        ):
-            terms.append(_assignment_conjunction(af, sub))
-    return or_(terms)
+    return tuple(
+        reduce(int.__or__, _extension_masks(af, sub, semantics), 0)
+        for sub in range(1 << len(af.arguments))
+    )
+
+
+def encode_constellation(
+    af: ArgumentationFramework, semantics: Semantics, argument: str
+) -> Formula:
+    """Theory of the induced subgraphs that credulously accept the argument.
+
+    Each model names the arguments present in one accepting subgraph. Under
+    CF the argument's singleton is conflict-free unless it attacks itself,
+    so the theory is the argument itself, or FALSE.
+    """
+    bit = 1 << af._require(argument)
+    if semantics is Semantics.CF:
+        return FALSE if (argument, argument) in af.attacks else var(argument)
+    return or_(
+        _assignment_conjunction(af, sub)
+        for sub, union in enumerate(_accepted(af, semantics))
+        if union & bit
+    )

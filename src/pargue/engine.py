@@ -8,16 +8,16 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   zero on the shared, unconditioned theory circuit.
 * ``prob_c``: each subset of arguments induces a subgraph; the query asks
   for the total probability of the subgraphs that credulously accept the
-  argument.
+  argument. CO and PR share AD's constellation; CF's has a closed form.
 
 Both modes answer through ``_query``. It takes the circuit and its model
 count from ``_compiled``, one bounded cache of compiled targets (a
 framework's theory, or one argument's constellation). A point probability
 is a beta label of zero variance, so both label kinds get their moments from
-the one path in ``propagate``, fed the moments each graph derives once;
-``_query`` renders them into the answer's ``QueryResult``. Every route has
-an independent oracle: exact enumeration over extensions or subgraphs (with
-the exact mixture variance), and a vectorized Monte-Carlo estimate.
+the one path in ``propagate``; ``_query`` renders them into a
+``QueryResult``. Every route has an independent oracle: exact enumeration
+over extensions or over every subgraph (CF included), with the exact
+mixture variance, and a vectorized Monte-Carlo estimate.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .af import ArgumentationFramework, Semantics, _extension_masks, extensions
+from .af import ArgumentationFramework, Semantics, _all_extension_masks
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, compile_formula, condition, model_count
-from .encode import encode, encode_constellation, encode_enumerative
+from .encode import _accepted, encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
 from .formula import Formula
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
@@ -177,35 +177,36 @@ def prob_c(
     return _query(graph, semantics, argument, "prob-c", covariance, config)
 
 
-def _check_brute_capacity(af: ArgumentationFramework) -> None:
+def _brute_bit(af: ArgumentationFramework, argument: str) -> int:
+    """The argument's bit mask, on a framework small enough to enumerate."""
     if len(af.arguments) > MAX_BRUTE_FORCE_ARGUMENTS:
         raise CapacityError(
             f"brute-force oracles support at most {MAX_BRUTE_FORCE_ARGUMENTS} "
             f"arguments, got {len(af.arguments)}"
         )
+    return 1 << af._require(argument)
 
 
-def _mask_weight(mask: int, means: list[float]) -> float:
-    """Probability of exactly the arguments in ``mask``, means in argument order."""
-    weight = 1.0
-    for i, m in enumerate(means):
-        weight *= m if mask >> i & 1 else 1.0 - m
-    return weight
+def _oracle_answer(graph: ProbabilisticGraph, masks: list[int]) -> float | MomentPair:
+    """Total probability of the member sets; the mean alone under point labels.
 
-
-def _mixture_moments(
-    af: ArgumentationFramework, masks: list[int], labels: Mapping[str, BetaLabel]
-) -> MomentPair:
-    """Exact mean and variance of the indicator mixture over member sets.
-
-    The second moment pairs every two member sets and multiplies per-argument
-    cross moments E[p^2], E[(1-p)^2] or E[p(1-p)].
+    Under beta labels, the exact mean and variance of the indicator mixture:
+    the second moment pairs every two member sets and multiplies
+    per-argument cross moments E[p^2], E[(1-p)^2] or E[p(1-p)].
     """
-    names = af.arguments
-    means = [labels[n].mean for n in names]
+    names = graph.framework.arguments
+    point = graph.point_means()
+    means = [point[n] for n in names]
+    mean = 0.0
+    for mask in masks:
+        weight = 1.0
+        for i, m in enumerate(means):
+            weight *= m if mask >> i & 1 else 1.0 - m
+        mean += weight
+    if not graph.beta_mode:
+        return mean
+    labels = graph.beta_labels()
     seconds = [labels[n].second_moment for n in names]
-    mean = sum((_mask_weight(mask, means) for mask in masks), 0.0)
-
     square = 0.0
     for x, mask_a in enumerate(masks):
         for mask_b in masks[x:]:
@@ -228,37 +229,19 @@ def brute_force_prob(
     graph: ProbabilisticGraph, semantics: Semantics, argument: str
 ) -> float | MomentPair:
     """Oracle for ``prob``: sum over extensions containing the argument.
-
-    Returns the mean alone under point labels, exact mean and mixture
-    variance under beta labels.
-    """
-    af = graph.framework
-    _check_brute_capacity(af)
-    bit = 1 << af._require(argument)
-    masks = [af._mask(e) for e in extensions(af, semantics)]
-    masks = sorted(m for m in masks if m & bit)
-    if not graph.beta_mode:
-        means = [graph.labels[n] for n in af.arguments]
-        return sum(_mask_weight(m, means) for m in masks)
-    return _mixture_moments(af, masks, graph.beta_labels())
+    Returns the mean under point labels, exact moments under beta labels."""
+    bit = _brute_bit(graph.framework, argument)
+    masks = _all_extension_masks(graph.framework, semantics)
+    return _oracle_answer(graph, [m for m in masks if m & bit])
 
 
 def brute_force_prob_c(
     graph: ProbabilisticGraph, semantics: Semantics, argument: str
 ) -> float | MomentPair:
-    """Oracle for ``prob_c``: scan all subgraphs, test credulous acceptance."""
-    af = graph.framework
-    _check_brute_capacity(af)
-    bit = 1 << af._require(argument)
-    masks = [
-        sub
-        for sub in range(1 << len(af.arguments))
-        if sub & bit and any(m & bit for m in _extension_masks(af, sub, semantics))
-    ]
-    if not graph.beta_mode:
-        means = [graph.labels[n] for n in af.arguments]
-        return sum(_mask_weight(m, means) for m in masks)
-    return _mixture_moments(af, masks, graph.beta_labels())
+    """Oracle for ``prob_c``: scan all subgraphs, CF too, for acceptance."""
+    bit = _brute_bit(graph.framework, argument)
+    table = _accepted(graph.framework, semantics)
+    return _oracle_answer(graph, [sub for sub, union in enumerate(table) if union & bit])
 
 
 def mc_oracle(

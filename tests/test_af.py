@@ -138,6 +138,14 @@ class TestExtensions:
             credulous(af, Semantics.CF, "x0")
 
 
+    def test_extension_scan_is_not_cached(self):
+        # A per-subgraph cache outlived every query; the bounded tables of
+        # constellation acceptance live in encode._accepted instead.
+        from pargue.af import _extension_masks
+
+        assert not hasattr(_extension_masks, "cache_info")
+
+
 class TestCredulous:
     def test_worked_example(self, example_af):
         assert credulous(example_af, Semantics.AD, "d")

@@ -152,6 +152,10 @@ class TestMomentMatch:
         # the strength bound/variance - 1 overflows to inf
         assert moment_match(MomentPair(0.25, 1e-310)) == BetaLabel.from_point(0.25)
 
+    def test_underflowing_parameter_yields_degenerate(self):
+        # alpha = mean * strength underflows to 0 for a subnormal mean
+        assert moment_match(MomentPair(5e-324, 4e-324)) == BetaLabel.from_point(5e-324)
+
     def test_infeasible_variance_clamped(self):
         # no beta distribution reaches variance mean*(1-mean); the match
         # clamps and then floors the strength instead of failing

@@ -321,6 +321,17 @@ class TestExitCodes:
         assert run(["query", "-f", str(af_path), "-l", str(label_path), "-s", "CF", "-a", "a"]) == 0
         assert "Beta(inf, inf)" in capsys.readouterr().out
 
+    def test_huge_beta_parameters_print_short(self, tmp_path, capsys):
+        # Fixed-point rendering printed every digit of 2e307, about 700 characters.
+        af_path = tmp_path / "af.apx"
+        af_path.write_text("arg(a).\n")
+        label_path = tmp_path / "labels.apx"
+        label_path.write_text("beta(a,2e307,1e308).\n")
+        assert run(["query", "-f", str(af_path), "-l", str(label_path), "-s", "AD", "-a", "a"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        assert len(line) < 120
+        assert "Beta(2e+307, 1e+308)" in line
+
     def test_capacity_refusal(self, tmp_path, capsys):
         path = tmp_path / "big.apx"
         path.write_text("".join(f"arg(n{i}).\n" for i in range(26)))

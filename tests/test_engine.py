@@ -294,6 +294,54 @@ class TestCompiledCache:
         assert pairs > 256 and info.misses == pairs
         assert info.currsize <= 256
 
+class TestConstellationScan:
+    """One bounded acceptance table per (framework, semantics); none for CF."""
+
+    def test_table_cache_stays_bounded(self):
+        scan = importlib.import_module("pargue.encode")._accepted
+        scan.cache_clear()
+        pairs = 0
+        for i in range(30):
+            af = ArgumentationFramework([f"a{i}", f"b{i}"], [(f"a{i}", f"b{i}")])
+            graph = ProbabilisticGraph(af, {f"a{i}": 0.5, f"b{i}": 0.25})
+            for semantics in (Semantics.AD, Semantics.GR, Semantics.ST):
+                prob_c(graph, semantics, f"b{i}")
+                prob_c(graph, semantics, f"a{i}")
+                pairs += 1
+        info = scan.cache_info()
+        assert pairs > info.maxsize and info.misses == pairs
+        assert info.currsize <= info.maxsize
+
+    def test_cf_encodes_without_a_scan(self, monkeypatch, example_af):
+        encode_module = importlib.import_module("pargue.encode")
+        calls = []
+        real = encode_module._extension_masks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(encode_module, "_extension_masks", counting)
+        encode_module._accepted.cache_clear()
+        loop = ArgumentationFramework("ab", [("a", "a"), ("a", "b")])
+        for af in (example_af, loop):
+            for name in af.arguments:
+                encode_module.encode_constellation(af, Semantics.CF, name)
+        assert calls == []
+        encode_module.encode_constellation(loop, Semantics.AD, "b")
+        assert calls
+
+    def test_cf_closed_form_past_the_scan_limit(self):
+        names = [f"n{i:02d}" for i in range(21)]
+        af = ArgumentationFramework(names, [("n00", "n00"), ("n00", "n01")])
+        graph = ProbabilisticGraph(af, {name: 0.25 + i / 100 for i, name in enumerate(names)})
+        loop = prob_c(graph, Semantics.CF, "n00")
+        assert loop.mean == 0.0 and loop.model_count == 0
+        attacked = prob_c(graph, Semantics.CF, "n01")
+        assert attacked.mean == pytest.approx(0.26, abs=1e-15)
+        assert attacked.model_count == 2**20
+
+
 def test_import_skips_numpy():
     # numpy serves the Monte-Carlo oracle alone; queries must not pay for it.
     src = str(Path(pargue.__file__).resolve().parents[1])
