@@ -237,7 +237,7 @@ class LabelConfig:
     def from_json(cls, text: str) -> "LabelConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit
             raise InputError(f"label config is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InputError("label config must be a JSON object")
@@ -271,7 +271,7 @@ class LabelConfig:
 def _numbers(what: str, values) -> tuple[float, ...]:
     try:
         numbers = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{what} must be a list of numbers, got {values!r}") from None
     # NaN passes no comparison, so it would slip through every range check.
     if not all(map(math.isfinite, numbers)):

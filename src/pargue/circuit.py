@@ -14,6 +14,7 @@ format used by the standard `.nnf` file layout this module also emits.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
@@ -22,7 +23,7 @@ from .errors import CapacityError, InputError, StructuralError
 from .formula import FALSE, TRUE, And, Formula, Lit, and_, assign
 
 MAX_COMPILE_VARIABLES = 25
-# Exact determinism validation enumerates full truth tables up to this width.
+# Determinism validation builds a disjunction's truth table up to this width.
 MAX_EXACT_CHECK_VARIABLES = 20
 
 
@@ -178,27 +179,33 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
         seen[g] = result
         return result
 
-    root = padded([build(f)], f.vars, frozenset(declared))
-    # Simplification leaves nodes the root no longer reaches; keep the rest
-    # in arena order, so children still precede parents and the root is last.
-    keep = _closure(builder.nodes, root)
-    position = {old: new for new, old in enumerate(keep)}
-    nodes = tuple(
-        Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
-        if n.children
-        else n
-        for n in (builder.nodes[i] for i in keep)
-    )
+    nodes = _reachable(builder.nodes, padded([build(f)], f.vars, frozenset(declared)))
     return Circuit(nodes, len(nodes) - 1, declared, smoothed=True)
 
 
-def _varsets(circuit: Circuit) -> list[frozenset[str]]:
-    """Variables each node mentions, as one walk in a set-union semiring."""
+def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
+    """The nodes ``root`` reaches, renumbered in arena order.
+
+    Simplification leaves nodes the root no longer reaches; arena order keeps
+    children before parents and puts the root last.
+    """
+    keep = _closure(nodes, root)
+    position = {old: new for new, old in enumerate(keep)}
+    return tuple(
+        Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
+        if n.children
+        else n
+        for n in (nodes[i] for i in keep)
+    )
+
+
+def _varsets(circuit: Circuit, ids: Iterable[int]) -> list[frozenset[str]]:
+    """Variables each node of ``ids`` mentions, as one walk in a set-union semiring."""
     from .semiring import Semiring, _walk
 
     union = Semiring("variable sets", frozenset.union, frozenset.union, frozenset(), frozenset())
     table = {(n.var, n.positive): frozenset((n.var,)) for n in circuit.nodes if n.kind == "lit"}
-    return _walk(circuit, union, table)
+    return _walk(circuit, union, table, ids)
 
 
 def _variable_pattern(position: int, width: int) -> int:
@@ -213,9 +220,7 @@ def _variable_pattern(position: int, width: int) -> int:
     return mask
 
 
-def _truth_masks(
-    circuit: Circuit, order: dict[str, int], ids: Iterable[int] | None = None
-) -> list[int | None]:
+def _truth_masks(circuit: Circuit, order: dict[str, int], ids: Iterable[int]) -> list[int | None]:
     """Truth table of each node: one bit per assignment of the ordered variables."""
     from .semiring import Semiring, _walk
 
@@ -271,71 +276,28 @@ class ValidationReport:
 
 
 def validate(circuit: Circuit) -> ValidationReport:
-    """Check decomposability, determinism and smoothness of the circuit.
+    """Check decomposability, determinism and smoothness in one pass.
 
-    Determinism is decided exactly by truth tables while the relevant
-    variable sets stay at or below 20 variables; past that a structural
-    complementary-guard argument is tried, and an inconclusive wide
-    disjunction raises a capacity error rather than guessing.
+    A disjunction is deterministic when each pair of its children carries
+    clashing guards, the literals a child implies directly (the compiler
+    guards every branch and gap node with its decision literal). A
+    disjunction the guards cannot settle is decided exactly by truth tables
+    over its own variables, up to 20; past that a capacity error is raised
+    rather than guessing.
     """
-    sets = _varsets(circuit)
     reach = _closure(circuit.nodes, circuit.root)
-
-    bad_and = None
+    sets = _varsets(circuit, reach)
+    bad_and = bad_or = bad_smooth = None
     for i in reach:
         node = circuit.nodes[i]
-        if node.kind != "and":
-            continue
-        seen: set[str] = set()
-        for c in node.children:
-            if sets[c] & seen:
+        if node.kind == "and":
+            if bad_and is None and sum(len(sets[c]) for c in node.children) > len(sets[i]):
                 bad_and = i
-                break
-            seen |= sets[c]
-        if bad_and is not None:
-            break
-
-    bad_smooth = None
-    for i in reach:
-        node = circuit.nodes[i]
-        if node.kind == "or" and len({sets[c] for c in node.children}) > 1:
-            bad_smooth = i
-            break
-
-    bad_or = None
-    global_masks = None
-    if len(circuit.variables) <= MAX_EXACT_CHECK_VARIABLES:
-        global_masks = _truth_masks(circuit, {v: p for p, v in enumerate(circuit.variables)})
-    for i in reach:
-        node = circuit.nodes[i]
-        if node.kind != "or":
-            continue
-        masks = global_masks
-        if masks is None and len(sets[i]) <= MAX_EXACT_CHECK_VARIABLES:
-            order = {v: p for p, v in enumerate(sorted(sets[i]))}
-            masks = _truth_masks(circuit, order, _closure(circuit.nodes, i))
-        if masks is not None:
-            seen_mask = 0
-            for c in node.children:
-                if masks[c] & seen_mask:
-                    bad_or = i
-                    break
-                seen_mask |= masks[c]
-        else:
-            guards = [_guard_polarity(circuit, c) for c in node.children]
-            for a in range(len(guards)):
-                for b in range(a + 1, len(guards)):
-                    if not any(
-                        guards[a].get(v) is not None and guards[a][v] != pol
-                        for v, pol in guards[b].items()
-                    ):
-                        raise CapacityError(
-                            "determinism validation needs at most "
-                            f"{MAX_EXACT_CHECK_VARIABLES} variables per disjunction"
-                        )
-        if bad_or is not None:
-            break
-
+        elif node.kind == "or":
+            if bad_smooth is None and len({sets[c] for c in node.children}) > 1:
+                bad_smooth = i
+            if bad_or is None and not _deterministic(circuit, i, sets[i]):
+                bad_or = i
     return ValidationReport(
         decomposable=bad_and is None,
         deterministic=bad_or is None,
@@ -344,6 +306,30 @@ def validate(circuit: Circuit) -> ValidationReport:
         first_nondeterministic=bad_or,
         first_unsmooth=bad_smooth,
     )
+
+
+def _deterministic(circuit: Circuit, index: int, variables: frozenset[str]) -> bool:
+    """Whether no two children of disjunction ``index`` share a model."""
+    children = circuit.nodes[index].children
+    guards = [_guard_polarity(circuit, c) for c in children]
+    if all(
+        any(second.get(v, p) != p for v, p in first.items())
+        for first, second in itertools.combinations(guards, 2)
+    ):
+        return True
+    if len(variables) > MAX_EXACT_CHECK_VARIABLES:
+        raise CapacityError(
+            "determinism validation needs at most "
+            f"{MAX_EXACT_CHECK_VARIABLES} variables per disjunction"
+        )
+    order = {v: p for p, v in enumerate(sorted(variables))}
+    masks = _truth_masks(circuit, order, _closure(circuit.nodes, index))
+    seen = 0
+    for c in children:
+        if masks[c] & seen:
+            return False
+        seen |= masks[c]
+    return True
 
 
 def model_count(circuit: Circuit) -> int:
@@ -378,10 +364,11 @@ def _normalize_literals(
 def condition(
     circuit: Circuit, fixed: Mapping[str, bool] | Iterable[tuple[str, bool]]
 ) -> Circuit:
-    """Replace literals contradicting ``fixed`` by false, keeping the shape.
+    """Replace literals contradicting ``fixed`` by false and simplify.
 
-    The declared variable set is unchanged, so counts and probabilities stay
-    comparable with the unconditioned circuit.
+    Only the nodes the new root reaches are kept. The declared variable set
+    is unchanged, so counts and probabilities stay comparable with the
+    unconditioned circuit.
     """
     forced = _normalize_literals(fixed, circuit.variables)
     if not forced:
@@ -403,10 +390,8 @@ def condition(
             mapped.append(builder.conj([mapped[c] for c in node.children]))
         else:
             mapped.append(builder.disj([mapped[c] for c in node.children], decision=node.decision))
-    root = mapped[circuit.root]
-    return Circuit(
-        tuple(builder.nodes[: root + 1]), root, circuit.variables, circuit.smoothed
-    )
+    nodes = _reachable(builder.nodes, mapped[circuit.root])
+    return Circuit(nodes, len(nodes) - 1, circuit.variables, circuit.smoothed)
 
 
 def format_nnf(circuit: Circuit) -> str:

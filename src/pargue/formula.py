@@ -3,7 +3,7 @@
 Every connective is built through a factory that flattens nested operators,
 drops neutral elements, deduplicates children and collapses complementary
 literal pairs, so structurally equal formulas are always the same object.
-That makes identity-keyed caches (negation, cofactors, compilation) cheap.
+That makes identity-keyed caches (cofactors, compilation) cheap.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ FALSE = _Const(False)
 _LITERALS: dict[tuple[str, bool], Lit] = {}
 _ANDS: dict[tuple[int, ...], And] = {}
 _ORS: dict[tuple[int, ...], Or] = {}
-_NEGATIONS: dict[Formula, Formula] = {}
 _COFACTORS: dict[tuple[Formula, str, bool], Formula] = {}
 
 
@@ -97,18 +96,11 @@ def not_(f: Formula) -> Formula:
         return FALSE
     if f is FALSE:
         return TRUE
-    cached = _NEGATIONS.get(f)
-    if cached is not None:
-        return cached
     if isinstance(f, Lit):
-        result: Formula = lit(f.var, not f.positive)
-    elif isinstance(f, And):
-        result = or_(not_(c) for c in f.children)
-    else:
-        result = and_(not_(c) for c in f.children)
-    _NEGATIONS[f] = result
-    _NEGATIONS[result] = f
-    return result
+        return lit(f.var, not f.positive)
+    if isinstance(f, And):
+        return or_(not_(c) for c in f.children)
+    return and_(not_(c) for c in f.children)
 
 
 def _gather(items: Iterable[Formula], absorbing: Formula, neutral: Formula,

@@ -83,7 +83,10 @@ def load_covariance_csv(text: str) -> CovarianceSpec:
     Diagonal cells are ignored (a nonzero one draws a warning) because the
     diagonal is recomputed from the labels at propagation time.
     """
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    try:
+        rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    except csv.Error as exc:
+        raise InputError(f"covariance matrix is not valid CSV: {exc}") from None
     if not rows:
         raise InputError("empty covariance matrix")
     header = [cell.strip() for cell in rows[0][1:]]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import itertools
 import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from pargue import (
     COUNTING,
@@ -41,16 +44,64 @@ def compiled_example(example_af):
     return compile_formula(encode(example_af, Semantics.AD), variables=NAMES)
 
 
-def assert_all_reachable(c):
-    reached = {c.root}
+def reached(c):
+    found = {c.root}
     stack = [c.root]
     while stack:
         for child in c.nodes[stack.pop()].children:
-            if child not in reached:
-                reached.add(child)
+            if child not in found:
+                found.add(child)
                 stack.append(child)
-    assert reached == set(range(len(c.nodes)))
+    return found
+
+
+def assert_all_reachable(c):
+    assert reached(c) == set(range(len(c.nodes)))
     assert c.root == len(c.nodes) - 1
+
+
+@st.composite
+def hand_built_circuits(draw):
+    """Arbitrary node arrays over at most six variables, many with guards."""
+    names = tuple("abcdef"[: draw(st.integers(1, 6))])
+    nodes = [Node("lit", var=v, positive=s) for v in names for s in (True, False)]
+    nodes += [Node("true"), Node("false")]
+    for _ in range(draw(st.integers(1, 10))):
+        earlier = st.integers(0, len(nodes) - 1)
+        kind = draw(st.sampled_from(["and", "or", "guarded"]))
+        if kind == "guarded":
+            # (v & A) | (v' & B), where v' is ~v or, to clash nowhere, v again
+            v = draw(st.integers(0, len(names) - 1))
+            nodes.append(Node("and", children=(2 * v, draw(earlier))))
+            nodes.append(Node("and", children=(2 * v + draw(st.booleans()), draw(earlier))))
+            nodes.append(Node("or", children=(len(nodes) - 2, len(nodes) - 1), decision=names[v]))
+        else:
+            children = draw(st.lists(earlier, min_size=1, max_size=3))
+            nodes.append(Node(kind, children=tuple(children)))
+    return Circuit(tuple(nodes), len(nodes) - 1, names)
+
+
+def first_overlapping_disjunction(c):
+    """Brute force: the first reachable disjunction two of whose children share a model."""
+    rows = []
+    for bits in itertools.product((False, True), repeat=len(c.variables)):
+        value = dict(zip(c.variables, bits))
+        truth: list[bool] = []
+        for node in c.nodes:
+            if node.kind == "lit":
+                truth.append(value[node.var] == node.positive)
+            elif node.kind == "and":
+                truth.append(all(truth[k] for k in node.children))
+            elif node.kind == "or":
+                truth.append(any(truth[k] for k in node.children))
+            else:
+                truth.append(node.kind == "true")
+        rows.append(truth)
+    for i in sorted(reached(c)):
+        node = c.nodes[i]
+        if node.kind == "or" and any(sum(row[k] for k in node.children) > 1 for row in rows):
+            return i
+    return None
 
 
 class TestCompile:
@@ -106,8 +157,18 @@ class TestCompile:
             assert_all_reachable(compile_formula(encode(af, semantics), variables=af.arguments))
 
     @pytest.mark.parametrize("n", [21, 23, 25])
-    def test_wide_theory_circuits_validate(self, n):
-        # Past 20 variables, determinism is checked one disjunction at a time.
+    def test_wide_theory_circuits_validate(self, n, monkeypatch):
+        # The compiler guards every branch and gap node with its decision
+        # literal, so the guards settle determinism without a truth table.
+        circuit_module = importlib.import_module("pargue.circuit")
+        calls = []
+        real = circuit_module._truth_masks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(circuit_module, "_truth_masks", counting)
         rng = random.Random(n)
         names = [f"x{i:02d}" for i in range(n)]
         attacks = rng.sample([(s, t) for s in names for t in names], round(1.5 * n))
@@ -115,6 +176,7 @@ class TestCompile:
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
             c = compile_formula(encode(af, semantics), variables=names)
             assert validate(c).all_passed
+        assert calls == []
 
 
 class TestSmoothing:
@@ -201,6 +263,26 @@ class TestValidate:
         report = validate(Circuit(nodes, 5, ("a", "b")))
         assert report.deterministic and report.smooth and report.decomposable
 
+    def test_unsettled_wide_disjunction_refused(self):
+        # (x00 & ... & x20) | (x00 & ... & x19 & (x20 | ~x20)): 21 variables,
+        # and both children guard x00..x19 alike, so no guard clashes.
+        names = tuple(f"x{i:02d}" for i in range(21))
+        nodes = [Node("lit", var=v) for v in names]
+        nodes.append(Node("lit", var="x20", positive=False))
+        nodes.append(Node("or", children=(20, 21), decision="x20"))
+        nodes.append(Node("and", children=tuple(range(21))))
+        nodes.append(Node("and", children=(*range(20), 22)))
+        nodes.append(Node("or", children=(23, 24)))
+        with pytest.raises(CapacityError, match="20 variables per disjunction"):
+            validate(Circuit(tuple(nodes), len(nodes) - 1, names))
+
+    @given(hand_built_circuits())
+    def test_determinism_matches_brute_force(self, c):
+        first = first_overlapping_disjunction(c)
+        report = validate(c)
+        assert report.deterministic == (first is None)
+        assert report.first_nondeterministic == first
+
 
 class TestCondition:
     def test_worked_example_counts(self, example_af):
@@ -220,6 +302,10 @@ class TestCondition:
     def test_unknown_variable_rejected(self, example_af):
         with pytest.raises(InputError):
             condition(compiled_example(example_af), {"z": True})
+
+    @given(formulas(), st.dictionaries(st.sampled_from(NAMES), st.booleans()))
+    def test_every_conditioned_node_reachable(self, f, fixed):
+        assert_all_reachable(condition(compile_formula(f, variables=NAMES), fixed))
 
     @given(formulas())
     def test_counts_conditioned_models(self, f):

@@ -1,12 +1,23 @@
 """Fact-file parsing, output formatting, and the command-line contract."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import frameworks
 from pargue import ArgumentationFramework, BetaLabel, ParseError
+from pargue.beta import (
+    ALEATORY_LABELS,
+    DEFAULT_ALEATORY_EDGES,
+    DEFAULT_EPISTEMIC_EDGES,
+    EPISTEMIC_LABELS,
+)
 from pargue.cli import emit_json, format_af, parse_af, parse_labels, run
 
 FRAMEWORK_TEXT = """\
@@ -352,6 +363,14 @@ class TestCovarianceFlag:
         # both gradients are positive, so positive covariance adds variance
         assert wide > base
 
+    def test_oversized_cell_rejected(self, fact_files, tmp_path, capsys):
+        af_path, label_path = fact_files
+        cov_path = tmp_path / "cov.csv"
+        cov_path.write_text("id,a\na," + "1" * 200_000 + "\n")
+        argv = ["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"]
+        assert run(argv + ["--cov", str(cov_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: covariance matrix is not valid CSV")
+
     def test_non_finite_covariance_rejected(self, tmp_path, capsys):
         af_path = tmp_path / "af.apx"
         af_path.write_text("arg(a). arg(b). att(a,b).\n")
@@ -367,6 +386,26 @@ class TestCovarianceFlag:
 
 
 class TestLabelConfigOverride:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"epistemic_edges": [0, 0.001, 0.0119, 0.049, 0.066, 1' + "0" * 400 + "]}",
+            '{"epistemic_edges": [' + "9" * 5000 + "]}",
+            "[" * 100_000,
+        ],
+        ids=["int-past-float", "int-past-digit-limit", "deep-nesting"],
+    )
+    def test_unreadable_config_is_an_input_error(
+        self, fact_files, tmp_path, capsys, monkeypatch, text
+    ):
+        af_path, label_path = fact_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        monkeypatch.setenv("PARGUE_LABEL_CONFIG", str(config_path))
+        code = run(["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_environment_config_changes_words(self, fact_files, tmp_path, capsys, monkeypatch):
         af_path, label_path = fact_files
         argv = ["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d", "--json"]
@@ -411,3 +450,134 @@ class TestLabelConfigOverride:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "finite" in captured.err
         assert captured.out == ""
+
+
+# Inputs for the fuzz test. Half the cases are well-formed throughout; in the
+# others each value may stray out of range or go missing. At most one input
+# also gets free text spliced in.
+_JUNK = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+)
+_TOKENS = st.one_of(_NUMBERS.map(str), st.sampled_from(["x", "1e400", "5e-324", "-0"]))
+_RARELY = st.integers(0, 9).map(lambda k: k == 0)
+
+
+@st.composite
+def _stray(draw, strays, valid, wild):
+    return draw(wild) if strays and draw(_RARELY) else draw(valid)
+
+
+@st.composite
+def _label_text(draw, af, strays):
+    def value(low, high):
+        return draw(_stray(strays, st.floats(low, high).map(repr), _TOKENS))
+
+    lines = []
+    for name in af.arguments:
+        kind = draw(_stray(strays, st.sampled_from(["prob", "beta", "fuzzy"]), st.just(None)))
+        if kind == "prob":
+            lines.append(f"prob({name},{value(0.0, 1.0)}).")
+        elif kind == "beta":
+            lines.append(f"beta({name},{value(0.01, 50.0)},{value(0.01, 50.0)}).")
+        elif kind == "fuzzy":
+            aleatory = draw(_stray(strays, st.sampled_from(ALEATORY_LABELS), st.just("probable")))
+            epistemic = draw(st.sampled_from(EPISTEMIC_LABELS))
+            lines.append(f"fuzzy({name},{aleatory},{epistemic}).")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _covariance_text(draw, af, strays):
+    names = st.sampled_from(af.arguments)
+    ids = draw(st.lists(_stray(strays, names, st.just("z")), min_size=1, max_size=3, unique=True))
+    cells = {}
+    for i, first in enumerate(ids):
+        for second in ids[i:]:
+            cells[first, second] = cells[second, first] = draw(
+                _stray(strays, st.floats(-0.01, 0.01).map(repr), _TOKENS)
+            )
+    rows = [",".join(["id", *ids])]
+    rows += [",".join([first, *(cells[first, second] for second in ids)]) for first in ids]
+    return "\n".join(rows) + "\n"
+
+
+@st.composite
+def _config_text(draw, strays):
+    config = {}
+    for key, default in (
+        ("aleatory_edges", DEFAULT_ALEATORY_EDGES),
+        ("epistemic_edges", DEFAULT_EPISTEMIC_EDGES),
+    ):
+        if draw(st.booleans()):
+            config[key] = draw(_stray(strays, st.just(default), st.lists(_NUMBERS, max_size=11)))
+    if draw(st.booleans()):
+        key = f"{draw(st.sampled_from(ALEATORY_LABELS))}/{draw(st.sampled_from(EPISTEMIC_LABELS))}"
+        pair = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.05)).map(list)
+        wild = st.lists(_NUMBERS, max_size=3)
+        config["representatives"] = {key: draw(_stray(strays, pair, wild))}
+    return json.dumps(config)
+
+
+@st.composite
+def cli_inputs(draw):
+    """Files (name -> text), argv with ``{dir}`` placeholders, and whether a config is set."""
+    af = draw(frameworks(max_args=5))
+    strays = draw(st.booleans())
+    files = {
+        "af.apx": format_af(af),
+        "labels.apx": draw(_label_text(af, strays)),
+        "cov.csv": draw(_covariance_text(af, strays)),
+        "config.json": draw(_config_text(strays)),
+    }
+    spoiled = draw(st.sampled_from([None, None, None, *files]))
+    if spoiled is not None:
+        text = files[spoiled]
+        at = draw(st.integers(0, len(text)))
+        files[spoiled] = text[:at] + draw(_JUNK) + text[at:]
+
+    command = draw(st.sampled_from(["extensions", "query", "oracle", "compile", "check"]))
+    names = st.sampled_from(["CF", "AD", "CO", "GR", "ST", "PR"])
+    semantics = draw(_stray(strays, names, st.just("XX")))
+    argv = [command, "-f", "{dir}/af.apx", "-s", semantics]
+    if command in ("query", "oracle"):
+        argument = draw(_stray(strays, st.sampled_from(af.arguments), st.just("z")))
+        argv += ["-l", "{dir}/labels.apx", "-a", argument]
+        argv += ["--mode", draw(st.sampled_from(["prob", "prob-c"]))]
+        if draw(st.booleans()):
+            argv.append("--json")
+    if command == "query":
+        if draw(st.booleans()):
+            argv += ["--cov", "{dir}/cov.csv"]
+        if draw(st.booleans()):
+            argv.append("--pretty")
+    if command == "oracle":
+        argv += ["--samples", str(draw(_stray(strays, st.integers(1, 100), st.integers(-1, 0))))]
+        argv += ["--seed", str(draw(_stray(strays, st.integers(0, 2**70), st.just(-1))))]
+    if command == "compile":
+        argv += ["-o", "{dir}/out.nnf"]
+    if strays and draw(_RARELY):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-a", "x"])))
+    return files, argv, draw(st.booleans())
+
+
+class TestFuzz:
+    @given(cli_inputs())
+    def test_exit_code_contract(self, case):
+        files, argv, use_config = case
+        with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as mp:
+            for name, text in files.items():
+                with open(os.path.join(folder, name), "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            if use_config:
+                mp.setenv("PARGUE_LABEL_CONFIG", os.path.join(folder, "config.json"))
+            else:
+                mp.delenv("PARGUE_LABEL_CONFIG", raising=False)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([arg.replace("{dir}", folder) for arg in argv])
+        assert code in (0, 1, 2)
+        if code:
+            last = err.getvalue().splitlines()[-1]
+            assert last.startswith("error:" if code == 1 else "capacity:")

@@ -86,6 +86,10 @@ class TestNormalization:
         f = or_([and_([var("a"), lit("b", False)]), var("c")])
         assert not_(not_(f)) is f
 
+    @given(formulas())
+    def test_negation_is_involution_on_any_formula(self, f):
+        assert not_(not_(f)) is f
+
     def test_vars(self):
         f = or_([and_([var("a"), lit("b", False)]), var("c")])
         assert f.vars == {"a", "b", "c"}
