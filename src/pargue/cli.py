@@ -14,9 +14,10 @@ import math
 import os
 import re
 import sys
+import warnings
 from typing import Iterator, Sequence
 
-from .af import ArgumentationFramework, Semantics, extensions
+from .af import ArgumentationFramework, Semantics, _sorted_sets, extensions
 from .beta import DEFAULT_LABEL_CONFIG, BetaLabel, FuzzyLabel, LabelConfig, from_fuzzy
 from .circuit import validate, write_nnf
 from .engine import (
@@ -33,6 +34,7 @@ from .errors import CapacityError, InputError, ParseError
 from .formula import models
 from .propagate import load_covariance_csv
 from .results import QueryResult
+from .semiring import model_masks
 
 _ARG_FACT = re.compile(r"arg\(\s*([A-Za-z0-9_]+)\s*\)\Z")
 _ATT_FACT = re.compile(r"att\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
@@ -260,7 +262,8 @@ def _load_config() -> LabelConfig:
 
 def _cmd_extensions(ns: argparse.Namespace, config: LabelConfig) -> int:
     af = parse_af(_read(ns.framework))
-    for group in extensions(af, Semantics(ns.semantics)):
+    circuit, _ = _compiled(af, Semantics(ns.semantics), None)
+    for group in _sorted_sets(af, model_masks(circuit)):
         print("{" + ",".join(sorted(group)) + "}")
     return 0
 
@@ -369,20 +372,27 @@ _COMMANDS = {
 }
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One line per warning, without the source path and line Python adds.
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors onto the exit-code contract."""
     parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-        return _COMMANDS[ns.command](ns, _load_config())
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            ns = parser.parse_args(argv)
+            return _COMMANDS[ns.command](ns, _load_config())
+        except SystemExit as exc:  # argparse --help
+            return int(exc.code or 0)
+        except CapacityError as exc:
+            print(f"capacity: {exc}", file=sys.stderr)
+            return 2
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def main() -> None:

@@ -2,7 +2,10 @@
 
 Conflict-free, admissible, complete and stable semantics have direct
 structural encodings. Grounded and preferred are not closed under the model
-set of any such formula shape, so they go through the enumerative encoding.
+set of any such formula shape, so they go through the enumerative encoding:
+grounded lists its one extension, found by its fixed point; preferred lists
+the subset-maximal models of the compiled complete-semantics circuit, since
+the preferred extensions are exactly the maximal complete ones (Dung 1995).
 The constellation encoding describes, for one query argument, every induced
 subgraph in which that argument is credulously accepted: by a closed form
 under CF, else by a scan of every subgraph's extensions (``_accepted``).
@@ -19,8 +22,10 @@ from .af import (
     attackers,
     extensions,
 )
+from .circuit import compile_formula
 from .errors import CapacityError, InputError
 from .formula import FALSE, Formula, and_, lit, not_, or_, var
+from .semiring import MAXIMAL_MODELS, model_masks
 
 # The constellation scan visits all 3^n (subgraph, subset) pairs.
 MAX_CONSTELLATION_ARGUMENTS = 20
@@ -81,9 +86,15 @@ def _assignment_conjunction(af: ArgumentationFramework, mask: int) -> Formula:
 def encode_enumerative(af: ArgumentationFramework, semantics: Semantics) -> Formula:
     """Disjunction of complete assignment conjunctions, one per extension.
 
-    Works for every semantics; it is the only route for GR and PR.
+    Works for every semantics; it is the only route for GR and PR. PR takes
+    the maximal models of the compiled CO theory, with no subset scan; the
+    others list ``extensions``.
     """
-    inside = {af._mask(e) for e in extensions(af, semantics)}
+    if semantics is Semantics.PR:
+        circuit = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
+        inside = model_masks(circuit, MAXIMAL_MODELS)
+    else:
+        inside = {af._mask(e) for e in extensions(af, semantics)}
     return or_(_assignment_conjunction(af, m) for m in sorted(inside))
 
 

@@ -95,7 +95,9 @@ class ProbabilisticGraph:
 
 
 def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """The framework's theory: GR and PR by enumeration, the rest directly."""
+    """The framework's theory: CF, AD, CO and ST directly; GR and PR as a
+    list of their extensions, GR's from its fixed point and PR's from the
+    maximal models of the compiled CO theory."""
     if semantics in (Semantics.GR, Semantics.PR):
         return encode_enumerative(af, semantics)
     return encode(af, semantics)

@@ -11,13 +11,16 @@ rebuilt.
 ``_walk`` is the package's one forward pass over circuit nodes. Besides
 ``evaluate`` it serves the moment propagation (probability semiring at the
 label means), the Monte-Carlo oracle (probability semiring over numpy draw
-arrays) and the determinism validator (truth tables as bitsets under or/and).
+arrays), the determinism validator (truth tables as bitsets under or/and)
+and model enumeration (``model_masks``: tuples of bit masks, or antichains
+of them for the subset-maximal models).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Callable, Iterable, Mapping
 
 from .circuit import Circuit, _normalize_literals
@@ -37,6 +40,32 @@ class Semiring:
 
 PROBABILITY = Semiring("probability", operator.add, operator.mul, 0.0, 1.0)
 COUNTING = Semiring("counting", operator.add, operator.mul, 0, 1)
+
+
+def _cross_or(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # A conjunction's children share no variables, so the pairwise unions
+    # are distinct, and an antichain on each side gives an antichain.
+    return tuple(x | y for x in a for y in b)
+
+
+def _antichain_union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Union of two antichains of bit masks, keeping the maximal masks only.
+
+    A mask with a bit outside the other side's span is no subset of any mask
+    there. Under a decision node, the branch on the positive literal is
+    therefore kept without comparison.
+    """
+    span_a = reduce(operator.or_, a, 0)
+    span_b = reduce(operator.or_, b, 0)
+    kept = [m for m in a if m & ~span_b or not any(m | o == o and m != o for o in b)]
+    kept.extend(o for o in b if o & ~span_a or not any(o | m == m for m in a))
+    return tuple(kept)
+
+
+# Values are tuples of bit masks, one per model. On a deterministic circuit
+# the disjuncts share no model, so a plain concatenation is the union.
+MODELS = Semiring("models", operator.add, _cross_or, (), (0,))
+MAXIMAL_MODELS = Semiring("maximal models", _antichain_union, _cross_or, (), (0,))
 
 
 def _missing_label(var: str, positive: bool) -> InputError:
@@ -120,6 +149,21 @@ def _walk(
 def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> Any:
     """Algebraic model count: the root's value after one bottom-up pass."""
     return _walk(circuit, semiring, labelling._values)[circuit.root]
+
+
+def model_masks(circuit: Circuit, semiring: Semiring = MODELS) -> tuple[int, ...]:
+    """The circuit's models as bit masks over ``circuit.variables`` (bit i for
+    the i-th variable), in no particular order.
+
+    ``MODELS`` lists every model of a smooth deterministic decomposable
+    circuit, ``MAXIMAL_MODELS`` only the subset-maximal ones. Either costs
+    time proportional to the models listed at each node, not 2^n.
+    """
+    table: dict[tuple[str, bool], tuple[int, ...]] = {}
+    for i, name in enumerate(circuit.variables):
+        table[name, True] = (1 << i,)
+        table[name, False] = (0,)
+    return _walk(circuit, semiring, table)[circuit.root]
 
 
 def amc_query(

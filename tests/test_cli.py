@@ -4,12 +4,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pargue
 from conftest import frameworks
 from pargue import ArgumentationFramework, BetaLabel, ParseError
 from pargue.beta import (
@@ -362,6 +366,29 @@ class TestCovarianceFlag:
         wide = json.loads(capsys.readouterr().out)["variance"]
         # both gradients are positive, so positive covariance adds variance
         assert wide > base
+
+    def test_warnings_are_one_line_each(self, fact_files, tmp_path):
+        # A diagonal cell is ignored and 0.05 exceeds the Cauchy-Schwarz
+        # bound of a and b; each warning is one line, with no source path.
+        af_path, label_path = fact_files
+        cov_path = tmp_path / "cov.csv"
+        cov_path.write_text("id,a,b\na,0.1,0.05\nb,0.05,0\n")
+        src = str(Path(pargue.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        argv = ["query", "-f", af_path, "-l", label_path, "-s", "AD", "-a", "d"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pargue", *argv, "--cov", str(cov_path)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0 and done.stdout.startswith("prob(d, AD)")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+        assert "diagonal entries are ignored" in lines[0]
+        assert "Cauchy-Schwarz" in lines[1]
+        assert ".py:" not in done.stderr
 
     def test_oversized_cell_rejected(self, fact_files, tmp_path, capsys):
         af_path, label_path = fact_files

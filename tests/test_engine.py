@@ -294,6 +294,50 @@ class TestCompiledCache:
         assert pairs > 256 and info.misses == pairs
         assert info.currsize <= 256
 
+class TestPreferredTheory:
+    """PR's theory comes from the maximal models of the compiled CO theory."""
+
+    def test_compiles_without_a_subset_scan(self, monkeypatch):
+        calls = []
+        for name in ("pargue.af", "pargue.encode"):
+            module = importlib.import_module(name)
+            real = module._extension_masks
+
+            def counting(*args, _real=real):
+                calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(module, "_extension_masks", counting)
+        rng = random.Random(10)
+        names = [f"n{i:02d}" for i in range(14)]
+        pairs = [(s, t) for s in names for t in names]
+        af = ArgumentationFramework(names, rng.sample(pairs, 21))
+        engine._compiled.cache_clear()
+        _, count = _compiled(af, Semantics.PR, None)
+        assert calls == []
+        assert count == len(pargue.extensions(af, Semantics.PR)) and calls
+
+    def test_mutual_pairs_closed_form(self):
+        # 12 mutually attacking pairs: 3^12 complete extensions, and 2^12
+        # preferred ones that take exactly one argument of each pair.
+        rng = random.Random(24)
+        pairs = [(f"p{i:02d}a", f"p{i:02d}b") for i in range(12)]
+        attacks = [edge for u, v in pairs for edge in ((u, v), (v, u))]
+        af = ArgumentationFramework([x for pair in pairs for x in pair], attacks)
+        weights = {name: rng.uniform(0.05, 0.95) for name in af.arguments}
+        graph = ProbabilisticGraph(af, weights)
+        either = {
+            (u, v): weights[u] * (1 - weights[v]) + weights[v] * (1 - weights[u])
+            for u, v in pairs
+        }
+        for pair in pairs:
+            rest = math.prod(either[other] for other in pairs if other != pair)
+            for x, y in (pair, pair[::-1]):
+                result = prob(graph, Semantics.PR, x)
+                assert result.model_count == 2**12
+                assert result.mean == pytest.approx(weights[x] * (1 - weights[y]) * rest, abs=1e-12)
+
+
 class TestConstellationScan:
     """One bounded acceptance table per (framework, semantics); none for CF."""
 

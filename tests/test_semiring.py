@@ -26,6 +26,9 @@ from pargue import (
 )
 
 from conftest import frameworks
+from pargue.af import _extension_masks
+from pargue.engine import _compiled
+from pargue.semiring import MAXIMAL_MODELS, model_masks
 from test_formula_encode import formulas
 
 NAMES = ("a", "b", "c", "d")
@@ -169,3 +172,23 @@ class TestAmcQuery:
             assert amc_query(base, {name: True}, PROBABILITY, labelling) == pytest.approx(
                 amc_query(extended, {name: True}, PROBABILITY, wide), abs=1e-12
             )
+
+
+class TestModelEnumeration:
+    """Walks that list a circuit's models as bit masks over its variables."""
+
+    @given(frameworks(max_args=8))
+    def test_models_are_extensions(self, af):
+        complete = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
+        maximal = model_masks(complete, MAXIMAL_MODELS)
+        assert sorted(maximal) == list(_extension_masks(af, af._full_mask, Semantics.PR))
+        for semantics in Semantics:
+            circuit, _ = _compiled(af, semantics, None)
+            want = _extension_masks(af, af._full_mask, semantics)
+            assert sorted(model_masks(circuit)) == list(want), semantics
+
+    def test_maximal_union_keeps_a_shared_model(self):
+        # a | a is not deterministic: both disjuncts hold the model {a}
+        nodes = (Node("lit", var="a"), Node("lit", var="a"), Node("or", children=(0, 1)))
+        c = Circuit(nodes, 2, ("a",), smoothed=True)
+        assert model_masks(c, MAXIMAL_MODELS) == (0b1,)
