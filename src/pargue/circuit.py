@@ -8,6 +8,13 @@ construction; decomposability falls out of conditioning; smoothness comes
 from padding, during the same expansion, each branch with (v or not v) gap
 nodes for the variables that simplification dropped.
 
+Variables named to be eliminated are projected away existentially, in the
+manner of projected model counting (Lagniez & Marquis, AAAI 2019): only the
+kept variables are decided, an eliminated unit literal is assigned without
+being emitted, and a residual that mentions no kept variable becomes true or
+false by a memoised satisfiability check. Every disjunction still branches
+on a kept variable, so the circuit stays deterministic.
+
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
 """
@@ -114,17 +121,26 @@ class _Builder:
         return self._add(Node("or", children=tuple(kept), decision=decision))
 
 
-def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circuit:
+def compile_formula(
+    f: Formula, variables: Iterable[str] | None = None, eliminate: Iterable[str] = ()
+) -> Circuit:
     """Compile to a smooth deterministic decomposable circuit.
 
     ``variables`` widens the declared variable set beyond vars(f); the root
     is padded with gap nodes for the extras, so model counts range over the
-    full set.
+    full set. ``eliminate`` names variables to project away: the circuit's
+    models are the assignments to the declared variables that extend to a
+    model of ``f``. Only declared variables count towards the capacity.
     """
-    declared = tuple(sorted(set(variables))) if variables is not None else tuple(sorted(f.vars))
-    extra = f.vars - set(declared)
+    hidden = frozenset(eliminate)
+    kept = f.vars - hidden
+    declared = tuple(sorted(set(variables))) if variables is not None else tuple(sorted(kept))
+    extra = kept - set(declared)
     if extra:
         raise InputError(f"formula mentions undeclared variables {sorted(extra)}")
+    both = hidden.intersection(declared)
+    if both:
+        raise InputError(f"variables both kept and eliminated: {sorted(both)}")
     if len(declared) > MAX_COMPILE_VARIABLES:
         raise CapacityError(
             f"compilation supports at most {MAX_COMPILE_VARIABLES} variables, "
@@ -133,6 +149,10 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
 
     builder = _Builder()
     seen: dict[Formula, int] = {}
+    satisfiable: dict[Formula, bool] = {}
+
+    def scope(g: Formula) -> frozenset[str]:
+        return g.vars - hidden if hidden else g.vars
 
     def padded(parts: list[int], covered: Iterable[str], span: frozenset[str]) -> int:
         # Conjoin a (v or not v) gap node for each variable of ``span`` that
@@ -144,7 +164,7 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
         return builder.conj(parts)
 
     def build(g: Formula) -> int:
-        # The node mentions exactly g.vars, or is the false node.
+        # The node mentions exactly scope(g), or is the false node.
         if g is TRUE:
             return builder.true()
         if g is FALSE:
@@ -152,35 +172,67 @@ def compile_formula(f: Formula, variables: Iterable[str] | None = None) -> Circu
         cached = seen.get(g)
         if cached is not None:
             return cached
-        if isinstance(g, Lit):
+        span = scope(g)
+        if not span:
+            result = builder.true() if _satisfiable(g, satisfiable) else builder.false()
+        elif isinstance(g, Lit):
             result = builder.literal(g.var, g.positive)
         else:
-            units = (
-                [c for c in g.children if isinstance(c, Lit)]
-                if isinstance(g, And)
-                else []
-            )
+            units, rest = _peel_units(g)
             if units:
-                # Unit propagation: peel forced literals, condition the rest.
-                rest = and_(c for c in g.children if not isinstance(c, Lit))
-                for u in units:
-                    rest = assign(rest, u.var, u.positive)
-                parts = [builder.literal(u.var, u.positive) for u in units]
+                # An eliminated literal is assigned but not emitted.
+                shown = [u for u in units if u.var not in hidden]
+                parts = [builder.literal(u.var, u.positive) for u in shown]
                 parts.append(build(rest))
-                result = padded(parts, rest.vars.union(u.var for u in units), g.vars)
+                result = padded(parts, scope(rest).union(u.var for u in shown), span)
             else:
-                v = min(g.vars)
+                v = min(span)
                 branches = []
                 for value in (True, False):
                     sub = assign(g, v, value)
                     parts = [builder.literal(v, value), build(sub)]
-                    branches.append(padded(parts, sub.vars | {v}, g.vars))
+                    branches.append(padded(parts, scope(sub) | {v}, span))
                 result = builder.disj(branches, decision=v)
         seen[g] = result
         return result
 
-    nodes = _reachable(builder.nodes, padded([build(f)], f.vars, frozenset(declared)))
+    nodes = _reachable(builder.nodes, padded([build(f)], kept, frozenset(declared)))
     return Circuit(nodes, len(nodes) - 1, declared, smoothed=True)
+
+
+def _peel_units(g: Formula) -> tuple[list[Lit], Formula]:
+    """Unit propagation: a conjunction's literal children, and the rest of
+    it conditioned on them."""
+    if not isinstance(g, And):
+        return [], g
+    units = [c for c in g.children if isinstance(c, Lit)]
+    if not units:
+        return units, g
+    rest = and_(c for c in g.children if not isinstance(c, Lit))
+    for u in units:
+        rest = assign(rest, u.var, u.positive)
+    return units, rest
+
+
+def _satisfiable(g: Formula, memo: dict[Formula, bool]) -> bool:
+    """Whether ``g`` has a model: a search with unit propagation, memoised
+    on the residual formula."""
+    if g is TRUE:
+        return True
+    if g is FALSE:
+        return False
+    known = memo.get(g)
+    if known is None:
+        units, rest = _peel_units(g)
+        if units:
+            known = _satisfiable(rest, memo)
+        else:
+            v = min(g.vars)
+            known = _satisfiable(assign(g, v, True), memo) or _satisfiable(
+                assign(g, v, False), memo
+            )
+        memo[g] = known
+    return known
 
 
 def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:

@@ -6,14 +6,23 @@ set of any such formula shape, so they go through the enumerative encoding:
 grounded lists its one extension, found by its fixed point; preferred lists
 the subset-maximal models of the compiled complete-semantics circuit, since
 the preferred extensions are exactly the maximal complete ones (Dung 1995).
+A listed set of extensions becomes one decision-shaped formula over the
+sorted ids (``_mask_formula``).
+
 The constellation encoding describes, for one query argument, every induced
-subgraph in which that argument is credulously accepted: by a closed form
-under CF, else by a scan of every subgraph's extensions (``_accepted``).
+subgraph in which that argument is credulously accepted. Under CF it is a
+closed form. Under AD, CO, PR and ST it is an existential theory: beside the
+presence variables (the argument ids) it has one membership variable per
+argument (``_member``), for an extension of the present subgraph that holds
+the query argument; compiling it with the membership variables eliminated
+leaves the accepting subgraphs. GR has no such form, so its accepting
+subgraphs come from a scan of every subgraph's fixed point (``_accepted``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from typing import Iterable, Sequence
 
 from .af import (
     ArgumentationFramework,
@@ -24,10 +33,11 @@ from .af import (
 )
 from .circuit import compile_formula
 from .errors import CapacityError, InputError
-from .formula import FALSE, Formula, and_, lit, not_, or_, var
+from .formula import FALSE, TRUE, Formula, and_, lit, not_, or_, session, var
 from .semiring import MAXIMAL_MODELS, model_masks
 
-# The constellation scan visits all 3^n (subgraph, subset) pairs.
+# The acceptance table visits every subgraph: 2^n fixed points under GR,
+# 3^n (subgraph, subset) pairs under the other semantics (the prob-c oracle).
 MAX_CONSTELLATION_ARGUMENTS = 20
 
 
@@ -77,36 +87,59 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
     )
 
 
-def _assignment_conjunction(af: ArgumentationFramework, mask: int) -> Formula:
-    return and_(
-        lit(name, bool(mask >> i & 1)) for i, name in enumerate(af.arguments)
-    )
+def _mask_formula(names: Sequence[str], masks: Iterable[int]) -> Formula:
+    """The formula whose models are exactly ``masks`` (bit i for ``names[i]``).
+
+    An if-then-else over the names in order, memoised on the set of mask
+    tails still to place, so equal tails share one subformula.
+    """
+    memo: dict[tuple[int, frozenset[int]], Formula] = {}
+
+    def ite(i: int, tails: frozenset[int]) -> Formula:
+        if not tails:
+            return FALSE
+        if i == len(names):
+            return TRUE
+        key = (i, tails)
+        f = memo.get(key)
+        if f is None:
+            high = ite(i + 1, frozenset(m >> 1 for m in tails if m & 1))
+            low = ite(i + 1, frozenset(m >> 1 for m in tails if not m & 1))
+            x = names[i]
+            f = memo[key] = high if high is low else or_(
+                (and_((var(x), high)), and_((lit(x, False), low)))
+            )
+        return f
+
+    return ite(0, frozenset(masks))
 
 
 def encode_enumerative(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """Disjunction of complete assignment conjunctions, one per extension.
+    """Decision-shaped formula whose models are the listed extensions.
 
     Works for every semantics; it is the only route for GR and PR. PR takes
-    the maximal models of the compiled CO theory, with no subset scan; the
-    others list ``extensions``.
+    the maximal models of the CO theory, compiled in a session of its own,
+    with no subset scan; the others list ``extensions``.
     """
     if semantics is Semantics.PR:
-        circuit = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
+        with session():
+            circuit = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
         inside = model_masks(circuit, MAXIMAL_MODELS)
     else:
-        inside = {af._mask(e) for e in extensions(af, semantics)}
-    return or_(_assignment_conjunction(af, m) for m in sorted(inside))
+        inside = [af._mask(e) for e in extensions(af, semantics)]
+    return _mask_formula(af.arguments, inside)
 
 
-# One prob-c benchmark corpus touches 36 (framework, semantics) pairs, in the
-# process that checks it against the oracles; this holds them with room.
+# One prob-c benchmark corpus touches 6 (framework, GR) pairs, and the
+# process that checks it against the oracles 36 (framework, semantics)
+# pairs; this holds them with room.
 @lru_cache(maxsize=64)
 def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
     """Per subgraph mask, the union of the induced subgraph's extensions:
     the arguments credulously accepted there."""
     if len(af.arguments) > MAX_CONSTELLATION_ARGUMENTS:
         raise CapacityError(
-            f"constellation encoding supports at most {MAX_CONSTELLATION_ARGUMENTS} "
+            f"subgraph acceptance table supports at most {MAX_CONSTELLATION_ARGUMENTS} "
             f"arguments, got {len(af.arguments)}"
         )
     return tuple(
@@ -115,20 +148,50 @@ def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ..
     )
 
 
+def _member(name: str) -> str:
+    """Membership variable of an argument. The dot lies outside the
+    argument-id alphabet, so it never names an argument."""
+    return "m." + name
+
+
 def encode_constellation(
     af: ArgumentationFramework, semantics: Semantics, argument: str
 ) -> Formula:
     """Theory of the induced subgraphs that credulously accept the argument.
 
-    Each model names the arguments present in one accepting subgraph. Under
-    CF the argument's singleton is conflict-free unless it attacks itself,
-    so the theory is the argument itself, or FALSE.
+    Under CF the argument's singleton is conflict-free unless it attacks
+    itself, so the theory is the argument itself, or FALSE. Under GR it is
+    the decision-shaped formula of the accepting subgraphs. Under AD, CO,
+    PR and ST its models, projected onto the argument ids, name the
+    arguments present in one accepting subgraph: the membership variables
+    describe an extension of that subgraph holding the argument, which is
+    conflict-free and inside the subgraph; under AD (and CO and PR, whose
+    credulous acceptance is the same, Dung 1995) it attacks every present
+    attacker of a member, and under ST every present non-member.
     """
     bit = 1 << af._require(argument)
     if semantics is Semantics.CF:
         return FALSE if (argument, argument) in af.attacks else var(argument)
-    return or_(
-        _assignment_conjunction(af, sub)
-        for sub, union in enumerate(_accepted(af, semantics))
-        if union & bit
+    if semantics is Semantics.GR:
+        table = _accepted(af, semantics)
+        return _mask_formula(af.arguments, (s for s, union in enumerate(table) if union & bit))
+    member = {name: var(_member(name)) for name in af.arguments}
+    parts = [member[argument]]
+    parts += (_implies(member[x], var(x)) for x in af.arguments)
+    parts += (
+        or_((not_(member[s]), not_(member[t]))) for s, t in sorted(af.attacks)
     )
+    if semantics is Semantics.ST:
+        parts += (
+            _implies(var(x), or_((member[x], *(member[b] for b in sorted(attackers(af, x))))))
+            for x in af.arguments
+        )
+    else:
+        parts += (
+            _implies(
+                and_((member[c], var(b))),
+                or_(member[d] for d in sorted(attackers(af, b))),
+            )
+            for b, c in sorted(af.attacks)
+        )
+    return and_(parts)

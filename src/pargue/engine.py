@@ -8,13 +8,18 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   zero on the shared, unconditioned theory circuit.
 * ``prob_c``: each subset of arguments induces a subgraph; the query asks
   for the total probability of the subgraphs that credulously accept the
-  argument. CO and PR share AD's constellation; CF's has a closed form.
+  argument. CO and PR share AD's constellation, compiled like ST's from an
+  existential theory with its membership variables projected away; CF's
+  has a closed form, and GR's lists the subgraphs its fixed point accepts.
 
 Both modes answer through ``_query``. It takes the circuit and its model
 count from ``_compiled``, one bounded cache of compiled targets (a
-framework's theory, or one argument's constellation). A point probability
-is a beta label of zero variance, so both label kinds get their moments from
-the one path in ``propagate``; ``_query`` renders them into a
+framework's theory, or one argument's constellation). Each target is
+encoded and compiled in a formula session of its own, dropped once the
+circuit is built, so no formula outlives its target and a target compiles
+to the same circuit whatever the process built before. A point probability
+is a beta label of zero variance, so both label kinds get their moments
+from the one path in ``propagate``; ``_query`` renders them into a
 ``QueryResult``. Every route has an independent oracle: exact enumeration
 over extensions or over every subgraph (CF included), with the exact
 mixture variance, and a vectorized Monte-Carlo estimate.
@@ -31,7 +36,7 @@ from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit, compile_formula, condition, model_count
 from .encode import _accepted, encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
-from .formula import Formula
+from .formula import Formula, session
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
 from .propagate import CovarianceSpec, _answer, propagate  # noqa: F401
@@ -96,8 +101,8 @@ class ProbabilisticGraph:
 
 def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
     """The framework's theory: CF, AD, CO and ST directly; GR and PR as a
-    list of their extensions, GR's from its fixed point and PR's from the
-    maximal models of the compiled CO theory."""
+    decision-shaped formula over their extensions, GR's from its fixed point
+    and PR's from the maximal models of the compiled CO theory."""
     if semantics in (Semantics.GR, Semantics.PR):
         return encode_enumerative(af, semantics)
     return encode(af, semantics)
@@ -113,11 +118,14 @@ def _compiled(
     argument's constellation. Always pass all three arguments, so that each
     target has one cache key.
     """
-    if argument is None:
-        formula = _theory(af, semantics)
-    else:
-        formula = encode_constellation(af, semantics, argument)
-    circuit = compile_formula(formula, variables=af.arguments)
+    with session():
+        if argument is None:
+            formula, hidden = _theory(af, semantics), ()
+        else:
+            formula = encode_constellation(af, semantics, argument)
+            # Every variable beside the argument ids is a membership variable.
+            hidden = formula.vars.difference(af.arguments)
+        circuit = compile_formula(formula, variables=af.arguments, eliminate=hidden)
     return circuit, model_count(circuit)
 
 

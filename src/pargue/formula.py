@@ -4,11 +4,22 @@ Every connective is built through a factory that flattens nested operators,
 drops neutral elements, deduplicates children and collapses complementary
 literal pairs, so structurally equal formulas are always the same object.
 That makes identity-keyed caches (cofactors, compilation) cheap.
+
+The intern tables, the cofactor table and the serial counter belong to a
+session. Formulas built outside any ``session()`` block live in the default
+session, which lasts as long as the process. A ``session()`` block swaps in
+empty tables and a counter that starts again at zero, and drops them when it
+ends, so what one compile target builds is neither kept nor seen by the
+next, and the same input gives the same formulas in any process. Intern keys
+are tuples of child serials, so a formula must never be combined with one
+from another session: the serials would alias different nodes.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping, Sequence
 
 _serial = itertools.count()
@@ -79,6 +90,18 @@ _ORS: dict[tuple[int, ...], Or] = {}
 _COFACTORS: dict[tuple[Formula, str, bool], Formula] = {}
 
 
+@contextmanager
+def session() -> Iterator[None]:
+    """Build formulas in fresh tables inside the block; sessions may nest."""
+    global _LITERALS, _ANDS, _ORS, _COFACTORS, _serial
+    saved = _LITERALS, _ANDS, _ORS, _COFACTORS, _serial
+    _LITERALS, _ANDS, _ORS, _COFACTORS, _serial = {}, {}, {}, {}, itertools.count()
+    try:
+        yield
+    finally:
+        _LITERALS, _ANDS, _ORS, _COFACTORS, _serial = saved
+
+
 def lit(name: str, positive: bool = True) -> Formula:
     key = (name, positive)
     node = _LITERALS.get(key)
@@ -119,9 +142,13 @@ def _gather(items: Iterable[Formula], absorbing: Formula, neutral: Formula,
     return flat
 
 
+_by_serial = operator.attrgetter("serial")
+
+
 def _normalize(flat: list[Formula]) -> list[Formula] | None:
     # Dedupe (interning makes identity comparisons sound) and detect x with ~x.
-    unique = sorted(set(flat), key=lambda f: f.serial)
+    # Children mostly arrive in serial order already, which the sort exploits.
+    unique = sorted(dict.fromkeys(flat), key=_by_serial)
     polarity: dict[str, bool] = {}
     for f in unique:
         if isinstance(f, Lit):
@@ -176,10 +203,9 @@ def assign(f: Formula, name: str, value: bool) -> Formula:
         return cached
     if isinstance(f, Lit):
         result = TRUE if f.positive == value else FALSE
-    elif isinstance(f, And):
-        result = and_(assign(c, name, value) for c in f.children)
     else:
-        result = or_(assign(c, name, value) for c in f.children)
+        children = [assign(c, name, value) if name in c.vars else c for c in f.children]
+        result = and_(children) if isinstance(f, And) else or_(children)
     _COFACTORS[key] = result
     return result
 

@@ -23,6 +23,7 @@ from pargue import (
     Node,
     Semantics,
     StructuralError,
+    and_,
     compile_formula,
     condition,
     encode,
@@ -30,9 +31,12 @@ from pargue import (
     format_nnf,
     model_count,
     models,
+    not_,
+    or_,
     validate,
     var,
 )
+from pargue.semiring import model_masks
 
 from conftest import frameworks
 from test_formula_encode import formulas
@@ -127,6 +131,37 @@ class TestCompile:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             compile_formula(TRUE, variables=[f"x{i}" for i in range(26)])
+
+    def test_capacity_counts_kept_variables(self):
+        wide = and_(or_((var(f"x{i}"), var(f"y{i}"))) for i in range(20))
+        kept = [f"x{i}" for i in range(20)]
+        c = compile_formula(wide, variables=kept, eliminate=[f"y{i}" for i in range(20)])
+        assert model_count(c) == 2**20
+
+    def test_eliminated_variable_cannot_be_kept(self):
+        with pytest.raises(InputError):
+            compile_formula(var("a"), variables=["a"], eliminate=["a"])
+        with pytest.raises(InputError):
+            compile_formula(and_((var("a"), var("b"))), variables=["a"], eliminate=["c"])
+
+    def test_unsatisfiable_residual_projects_to_false(self):
+        # No unit to propagate: only the satisfiability check sees that the
+        # residual over c and d has no model.
+        c, d = var("c"), var("d")
+        clauses = [or_((x, y)) for x in (c, not_(c)) for y in (d, not_(d))]
+        f = or_((var("a"), and_(clauses)))
+        projected = compile_formula(f, variables=["a", "b"], eliminate=["c", "d"])
+        assert model_count(projected) == 2
+        assert sorted(model_masks(projected)) == [0b01, 0b11]
+
+    @given(formulas(), st.sets(st.sampled_from(NAMES)))
+    def test_projection_matches_truth_table(self, f, hidden):
+        kept = [name for name in NAMES if name not in hidden]
+        c = compile_formula(f, variables=kept, eliminate=hidden)
+        assert validate(c).all_passed
+        got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
+        assert got == {m - hidden for m in models(f, NAMES)}
+        assert model_count(c) == len(got)
 
     @given(formulas())
     def test_counts_match_truth_table(self, f):

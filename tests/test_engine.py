@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pargue
-from conftest import frameworks
+from conftest import frameworks, random_beta_labels
 from pargue import (
     ArgumentationFramework,
     BetaLabel,
@@ -33,9 +33,11 @@ from pargue import (
     prob_c,
     propagate,
 )
-from pargue import engine
+from pargue import engine, formula
+from pargue.circuit import validate
+from pargue.encode import _accepted
 from pargue.engine import _compiled
-from pargue.semiring import PROBABILITY, Labelling, evaluate
+from pargue.semiring import PROBABILITY, Labelling, evaluate, model_masks
 
 CHAIN = ArgumentationFramework("abc", [("a", "b"), ("b", "c")])
 
@@ -339,19 +341,18 @@ class TestPreferredTheory:
 
 
 class TestConstellationScan:
-    """One bounded acceptance table per (framework, semantics); none for CF."""
+    """One bounded acceptance table per framework for GR; none for the rest."""
 
     def test_table_cache_stays_bounded(self):
         scan = importlib.import_module("pargue.encode")._accepted
         scan.cache_clear()
         pairs = 0
-        for i in range(30):
+        for i in range(70):
             af = ArgumentationFramework([f"a{i}", f"b{i}"], [(f"a{i}", f"b{i}")])
             graph = ProbabilisticGraph(af, {f"a{i}": 0.5, f"b{i}": 0.25})
-            for semantics in (Semantics.AD, Semantics.GR, Semantics.ST):
-                prob_c(graph, semantics, f"b{i}")
-                prob_c(graph, semantics, f"a{i}")
-                pairs += 1
+            prob_c(graph, Semantics.GR, f"b{i}")
+            prob_c(graph, Semantics.GR, f"a{i}")
+            pairs += 1
         info = scan.cache_info()
         assert pairs > info.maxsize and info.misses == pairs
         assert info.currsize <= info.maxsize
@@ -367,12 +368,16 @@ class TestConstellationScan:
 
         monkeypatch.setattr(encode_module, "_extension_masks", counting)
         encode_module._accepted.cache_clear()
+        engine._compiled.cache_clear()
         loop = ArgumentationFramework("ab", [("a", "a"), ("a", "b")])
         for af in (example_af, loop):
             for name in af.arguments:
                 encode_module.encode_constellation(af, Semantics.CF, name)
+                # AD, CO, PR and ST compile a projected theory instead.
+                for semantics in (Semantics.AD, Semantics.CO, Semantics.PR, Semantics.ST):
+                    _compiled(af, semantics, name)
         assert calls == []
-        encode_module.encode_constellation(loop, Semantics.AD, "b")
+        encode_module.encode_constellation(loop, Semantics.GR, "b")
         assert calls
 
     def test_cf_closed_form_past_the_scan_limit(self):
@@ -384,6 +389,91 @@ class TestConstellationScan:
         attacked = prob_c(graph, Semantics.CF, "n01")
         assert attacked.mean == pytest.approx(0.26, abs=1e-15)
         assert attacked.model_count == 2**20
+
+
+class TestProjectedConstellation:
+    """AD/CO/PR/ST constellations compile an existential theory; GR's lists
+    the scanned subgraphs. Both must agree with the scan."""
+
+    @given(frameworks(max_args=6), st.randoms(use_true_random=False))
+    def test_circuits_match_the_scan(self, af, rng):
+        graph = ProbabilisticGraph(af, random_beta_labels(rng, af))
+        for semantics in Semantics:
+            table = _accepted(af, semantics)
+            for name in af.arguments:
+                bit = 1 << af.arguments.index(name)
+                circuit, count = _compiled(af, semantics, name)
+                assert validate(circuit).all_passed
+                want = sorted(sub for sub, union in enumerate(table) if union & bit)
+                assert sorted(model_masks(circuit)) == want and count == len(want)
+                exact = brute_force_prob_c(graph, semantics, name)
+                assert prob_c(graph, semantics, name).mean == pytest.approx(
+                    exact.mean, abs=1e-12
+                )
+
+
+class TestFormulaSessions:
+    """Each compile target builds its formulas in a session of its own."""
+
+    @staticmethod
+    def _framework(prefix):
+        rng = random.Random(3)
+        names = [f"{prefix}{i:02d}" for i in range(10)]
+        return ArgumentationFramework(
+            names, rng.sample([(s, t) for s in names for t in names], 15)
+        )
+
+    def test_circuits_do_not_depend_on_earlier_compiles(self):
+        # Two copies of one framework under fresh names that sort alike:
+        # the first compiles PR cold, the second after other targets.
+        cold, warm = self._framework("rc"), self._framework("rw")
+        engine._compiled.cache_clear()
+        first = _compiled(cold, Semantics.PR, None)[0]
+        for semantics in (Semantics.AD, Semantics.GR, Semantics.ST, Semantics.CO):
+            _compiled(warm, semantics, None)
+            _compiled(warm, semantics, "rw00")
+        engine._compiled.cache_clear()
+        second = _compiled(warm, Semantics.PR, None)[0]
+        assert repr(first.nodes).replace("'rc", "'rw") == repr(second.nodes)
+        _compiled(cold, Semantics.CO, None)
+        engine._compiled.cache_clear()
+        assert _compiled(cold, Semantics.PR, None)[0].nodes == first.nodes
+
+    def test_default_tables_unchanged_by_queries(self):
+        def sizes():
+            return [
+                len(formula._LITERALS),
+                len(formula._ANDS),
+                len(formula._ORS),
+                len(formula._COFACTORS),
+            ]
+
+        before = sizes()
+        engine._compiled.cache_clear()
+        af = self._framework("rt")
+        graph = ProbabilisticGraph(af, {name: 0.5 for name in af.arguments})
+        for semantics in Semantics:
+            for name in af.arguments:
+                prob(graph, semantics, name)
+                prob_c(graph, semantics, name)
+        assert sizes() == before
+
+    def test_preferred_theory_compiles_complete_in_its_own_session(self):
+        # Called directly, the PR theory is built in the default session,
+        # but the CO compile under it leaves no cofactor there.
+        before = len(formula._COFACTORS)
+        pargue.encode_enumerative(self._framework("rp"), Semantics.PR)
+        assert len(formula._COFACTORS) == before
+
+    def test_sessions_nest_and_restore(self):
+        outer = formula.and_((formula.var("s0"), formula.var("s1")))
+        with formula.session():
+            inner = formula.and_((formula.var("s0"), formula.var("s1")))
+            with formula.session():
+                assert formula.var("s0").serial == 0
+            assert formula.and_((formula.var("s1"), formula.var("s0"))) is inner
+        assert inner is not outer
+        assert formula.and_((formula.var("s1"), formula.var("s0"))) is outer
 
 
 def test_import_skips_numpy():
@@ -595,11 +685,12 @@ class TestGuards:
             brute_force_prob_c(graph, Semantics.AD, "n0")
 
     def test_constellation_capacity(self):
+        # Only GR's constellation scans every subgraph.
         names = [f"n{i}" for i in range(21)]
         af = ArgumentationFramework(names)
         graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
         with pytest.raises(CapacityError):
-            prob_c(graph, Semantics.AD, "n0")
+            prob_c(graph, Semantics.GR, "n0")
 
     def test_compile_capacity(self):
         names = [f"n{i}" for i in range(26)]

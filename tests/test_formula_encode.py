@@ -12,6 +12,7 @@ from pargue import (
     ArgumentationFramework,
     CapacityError,
     InputError,
+    ProbabilisticGraph,
     Semantics,
     and_,
     encode,
@@ -22,12 +23,15 @@ from pargue import (
     models,
     not_,
     or_,
+    prob_c,
     restrict,
     satisfies,
     subgraph_extensions,
     var,
 )
+from pargue.engine import _compiled
 from pargue.formula import assign
+from pargue.semiring import model_masks
 
 from conftest import frameworks
 
@@ -36,6 +40,18 @@ DIRECT = [Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST]
 
 def model_set(f, names):
     return {tuple(sorted(m)) for m in models(f, names)}
+
+
+def projected_model_set(f, names):
+    """Assignments to ``names`` that extend to a model of ``f`` over its
+    other variables, by two nested truth tables."""
+    hidden = sorted(f.vars - set(names))
+    got = set()
+    for on in models(TRUE, names):
+        rest = restrict(f, {name: name in on for name in names})
+        if next(models(rest, hidden), None) is not None:
+            got.add(tuple(sorted(on)))
+    return got
 
 
 @st.composite
@@ -199,7 +215,7 @@ class TestConstellationEncoding:
 
     def test_unattacked_argument_all_subgraphs_containing_it(self, example_af):
         f = encode_constellation(example_af, Semantics.AD, "a")
-        got = model_set(f, "abcd")
+        got = projected_model_set(f, "abcd")
         assert len(got) == 8
         assert all("a" in m for m in got)
 
@@ -212,17 +228,30 @@ class TestConstellationEncoding:
             encode_constellation(example_af, Semantics.AD, "z")
 
     def test_capacity(self):
-        af = ArgumentationFramework([f"x{i}" for i in range(21)])
+        # GR scans every subgraph's fixed point, up to 20 arguments. AD
+        # compiles its existential theory and meets only the 25-variable
+        # compile cap, counted on the argument ids.
+        names = [f"x{i:02d}" for i in range(21)]
+        af = ArgumentationFramework(names, [("x00", "x01"), ("x01", "x00"), ("x02", "x03")])
         with pytest.raises(CapacityError):
-            encode_constellation(af, Semantics.AD, "x0")
+            encode_constellation(af, Semantics.GR, "x00")
+        graph = ProbabilisticGraph(af, {name: 0.25 + i / 100 for i, name in enumerate(names)})
+        # x00 defends itself against x01, so every subgraph holding it accepts it.
+        result = prob_c(graph, Semantics.AD, "x00")
+        assert result.mean == pytest.approx(0.25, abs=1e-15)
+        assert result.model_count == 2**20
+        wide = ArgumentationFramework([f"x{i:02d}" for i in range(26)])
+        graph = ProbabilisticGraph(wide, {name: 0.5 for name in wide.arguments})
+        with pytest.raises(CapacityError):
+            prob_c(graph, Semantics.AD, "x00")
 
     @given(frameworks(max_args=5))
     def test_models_are_accepting_subgraphs(self, af):
         names = list(af.arguments)
         for semantics in Semantics:
             for name in names:
-                f = encode_constellation(af, semantics, name)
-                got = model_set(f, names)
+                circuit, _ = _compiled(af, semantics, name)
+                got = {tuple(sorted(af._members(m))) for m in model_masks(circuit)}
                 want = set()
                 for mask in range(1 << len(names)):
                     members = {names[i] for i in range(len(names)) if mask >> i & 1}
