@@ -2,9 +2,9 @@
 
 A framework is a finite directed attack graph over string-named arguments.
 Extensions are computed by explicit enumeration over subsets (the grounded
-extension by its fixed point), which keeps this module simple enough to act
-as the ground truth that every encoding and circuit is validated against.
-Subsets are handled as bit masks over the sorted argument list internally.
+extension by its fixed point, which has no size limit), which keeps this
+module simple enough to act as the ground truth that every encoding and
+circuit is validated against. Subsets are bit masks over the sorted ids.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, InputError
 
-# Enumeration over 2^n subsets; refuse anything past this.
+# Enumeration over 2^n subsets (every semantics but GR); refuse anything past this.
 MAX_ENUMERATION_ARGUMENTS = 25
 
 _ID_PATTERN = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -46,18 +46,22 @@ class ArgumentationFramework:
     attacks: frozenset[tuple[str, str]]
 
     def __init__(self, arguments: Iterable[str], attacks: Iterable[tuple[str, str]] = ()):
-        names = tuple(sorted(dict.fromkeys(arguments)))
+        # key=str sorts strings as they are, and lets a non-string id reach the check.
+        names = tuple(sorted(dict.fromkeys(arguments), key=str))
         for name in names:
             if not isinstance(name, str) or not _ID_PATTERN.match(name):
                 raise InputError(f"invalid argument id {name!r}")
+        known = set(names)
         pairs = set()
         for pair in attacks:
-            source, target = pair
-            pairs.add((source, target))
-        known = set(names)
-        for source, target in sorted(pairs):
-            if source not in known or target not in known:
+            try:
+                source, target = pair
+                declared = {source, target} <= known
+            except (TypeError, ValueError):
+                raise InputError(f"attack {pair!r} is not a (source, target) pair") from None
+            if not declared:
                 raise InputError(f"attack ({source},{target}) references an undeclared argument")
+            pairs.add((source, target))
         object.__setattr__(self, "arguments", names)
         object.__setattr__(self, "attacks", frozenset(pairs))
 
@@ -196,7 +200,7 @@ def _sorted_sets(af: ArgumentationFramework, masks: Iterable[int]) -> tuple[froz
 
 
 def _all_extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
-    if len(af.arguments) > MAX_ENUMERATION_ARGUMENTS:
+    if semantics is not Semantics.GR and len(af.arguments) > MAX_ENUMERATION_ARGUMENTS:
         raise CapacityError(
             f"extension enumeration supports at most {MAX_ENUMERATION_ARGUMENTS} arguments, "
             f"got {len(af.arguments)}"

@@ -2,12 +2,13 @@
 
 Conflict-free, admissible, complete and stable semantics have direct
 structural encodings. Grounded and preferred are not closed under the model
-set of any such formula shape, so they go through the enumerative encoding:
-grounded lists its one extension, found by its fixed point; preferred lists
-the subset-maximal models of the compiled complete-semantics circuit, since
-the preferred extensions are exactly the maximal complete ones (Dung 1995).
-A listed set of extensions becomes one decision-shaped formula over the
-sorted ids (``_mask_formula``).
+set of any such formula shape, so their theories list their extensions
+(``encode_enumerative``): one decision-shaped formula over the sorted ids
+whose models are exactly the listed masks. ``encode`` lists GR's one
+extension, found by its fixed point. PR's extensions are the subset-maximal
+models of the compiled complete-semantics circuit, since the preferred
+extensions are exactly the maximal complete ones (Dung 1995); the engine
+reads them off its cached CO circuit, so ``encode`` has no PR case.
 
 The constellation encoding describes, for one query argument, every induced
 subgraph in which that argument is credulously accepted. Under CF it is a
@@ -31,10 +32,8 @@ from .af import (
     attackers,
     extensions,
 )
-from .circuit import compile_formula
 from .errors import CapacityError, InputError
-from .formula import FALSE, TRUE, Formula, and_, lit, not_, or_, session, var
-from .semiring import MAXIMAL_MODELS, model_masks
+from .formula import FALSE, TRUE, Formula, and_, lit, not_, or_, var
 
 # The acceptance table visits every subgraph: 2^n fixed points under GR,
 # 3^n (subgraph, subset) pairs under the other semantics (the prob-c oracle).
@@ -63,7 +62,7 @@ def _some_defender(af: ArgumentationFramework, name: str) -> Formula:
 
 
 def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """Direct structural theory for CF, AD, CO or ST."""
+    """Theory of CF, AD, CO or ST by structure; GR's lists its fixed point."""
     if semantics is Semantics.CF:
         return and_(
             or_((lit(source, False), lit(target, False)))
@@ -82,52 +81,46 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
             _iff(var(name), _some_defender(af, name)) for name in af.arguments
         )
         return and_((encode(af, Semantics.CF), *reinstatement))
+    if semantics is Semantics.GR:
+        masks = [af._mask(e) for e in extensions(af, semantics)]
+        return encode_enumerative(af.arguments, masks)
     raise InputError(
-        f"no direct encoding for {semantics.value}; use encode_enumerative"
+        f"no direct encoding for {semantics.value}; list its extensions with encode_enumerative"
     )
 
 
-def _mask_formula(names: Sequence[str], masks: Iterable[int]) -> Formula:
-    """The formula whose models are exactly ``masks`` (bit i for ``names[i]``).
+def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Formula:
+    """The formula whose models are exactly ``masks`` (bit i for ``names[i]``),
+    FALSE for none: the GR and PR theories and GR's constellation.
 
     An if-then-else over the names in order, memoised on the set of mask
-    tails still to place, so equal tails share one subformula.
+    tails still to place, so equal tails share one subformula. It is built
+    depth first from an explicit stack, so any number of names fits.
     """
+    tails = frozenset(masks)
+    if tails and (min(tails) < 0 or max(tails) >> len(names)):
+        raise InputError(f"masks must lie below 2**{len(names)}")
     memo: dict[tuple[int, frozenset[int]], Formula] = {}
 
-    def ite(i: int, tails: frozenset[int]) -> Formula:
-        if not tails:
-            return FALSE
-        if i == len(names):
-            return TRUE
-        key = (i, tails)
-        f = memo.get(key)
-        if f is None:
-            high = ite(i + 1, frozenset(m >> 1 for m in tails if m & 1))
-            low = ite(i + 1, frozenset(m >> 1 for m in tails if not m & 1))
-            x = names[i]
-            f = memo[key] = high if high is low else or_(
-                (and_((var(x), high)), and_((lit(x, False), low)))
-            )
-        return f
+    def built(i: int, tails: frozenset[int]) -> Formula | None:
+        return FALSE if not tails else TRUE if i == len(names) else memo.get((i, tails))
 
-    return ite(0, frozenset(masks))
-
-
-def encode_enumerative(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """Decision-shaped formula whose models are the listed extensions.
-
-    Works for every semantics; it is the only route for GR and PR. PR takes
-    the maximal models of the CO theory, compiled in a session of its own,
-    with no subset scan; the others list ``extensions``.
-    """
-    if semantics is Semantics.PR:
-        with session():
-            circuit = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
-        inside = model_masks(circuit, MAXIMAL_MODELS)
-    else:
-        inside = [af._mask(e) for e in extensions(af, semantics)]
-    return _mask_formula(af.arguments, inside)
+    # Frames are (i, tails, high, low); the branch tails are None until the
+    # frame is expanded. The high branch is built first, as recursion would.
+    stack: list[tuple] = [(0, tails, None, None)]
+    while stack:
+        i, here, high, low = stack.pop()
+        if high is None:
+            if built(i, here) is None:
+                high = frozenset(m >> 1 for m in here if m & 1)
+                low = frozenset(m >> 1 for m in here if not m & 1)
+                stack += ((i, here, high, low), (i + 1, low, None, None), (i + 1, high, None, None))
+            continue
+        x, yes, no = names[i], built(i + 1, high), built(i + 1, low)
+        memo[i, here] = yes if yes is no else or_(
+            (and_((var(x), yes)), and_((lit(x, False), no)))
+        )
+    return built(0, tails)
 
 
 # One prob-c benchmark corpus touches 6 (framework, GR) pairs, and the
@@ -174,7 +167,8 @@ def encode_constellation(
         return FALSE if (argument, argument) in af.attacks else var(argument)
     if semantics is Semantics.GR:
         table = _accepted(af, semantics)
-        return _mask_formula(af.arguments, (s for s, union in enumerate(table) if union & bit))
+        accepting = (s for s, union in enumerate(table) if union & bit)
+        return encode_enumerative(af.arguments, accepting)
     member = {name: var(_member(name)) for name in af.arguments}
     parts = [member[argument]]
     parts += (_implies(member[x], var(x)) for x in af.arguments)

@@ -17,12 +17,12 @@ count from ``_compiled``, one bounded cache of compiled targets (a
 framework's theory, or one argument's constellation). Each target is
 encoded and compiled in a formula session of its own, dropped once the
 circuit is built, so no formula outlives its target and a target compiles
-to the same circuit whatever the process built before. A point probability
-is a beta label of zero variance, so both label kinds get their moments
-from the one path in ``propagate``; ``_query`` renders them into a
-``QueryResult``. Every route has an independent oracle: exact enumeration
-over extensions or over every subgraph (CF included), with the exact
-mixture variance, and a vectorized Monte-Carlo estimate.
+to the same circuit whatever the process built before; PR's theory reads
+the cached CO circuit. A point probability is a beta label of zero
+variance, so both label kinds get their moments from the one path in
+``propagate``; ``_query`` renders them into a ``QueryResult``. Every route
+has an independent oracle: enumeration over extensions or every subgraph
+(CF included) with the exact mixture variance, and a Monte-Carlo estimate.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .formula import Formula, session
 # it in this module.
 from .propagate import CovarianceSpec, _answer, propagate  # noqa: F401
 from .results import QueryResult
-from .semiring import PROBABILITY, Labelling, evaluate
+from .semiring import MAXIMAL_MODELS, PROBABILITY, Labelling, evaluate, model_masks
 
 MAX_BRUTE_FORCE_ARGUMENTS = 12
 _MC_CHUNK = 1 << 16
@@ -71,7 +71,10 @@ class ProbabilisticGraph:
             raise InputError(f"labels for unknown arguments: {', '.join(extra)}")
         for name, label in given.items():
             if not isinstance(label, BetaLabel):
-                given[name] = float(label)
+                try:
+                    given[name] = float(label)
+                except (TypeError, ValueError):
+                    raise InputError(f"label of {name!r} is not a number: {label!r}") from None
         object.__setattr__(self, "labels", given)
         # Rejects a point probability outside [0,1].
         object.__setattr__(self, "means", Labelling.from_point_probabilities(self.point_means()))
@@ -100,11 +103,11 @@ class ProbabilisticGraph:
 
 
 def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """The framework's theory: CF, AD, CO and ST directly; GR and PR as a
-    decision-shaped formula over their extensions, GR's from its fixed point
-    and PR's from the maximal models of the compiled CO theory."""
-    if semantics in (Semantics.GR, Semantics.PR):
-        return encode_enumerative(af, semantics)
+    """The framework's theory from ``encode``, but PR's lists the maximal
+    models of the cached CO circuit, the maximal complete extensions."""
+    if semantics is Semantics.PR:
+        complete = _compiled(af, Semantics.CO, None)[0]
+        return encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
     return encode(af, semantics)
 
 

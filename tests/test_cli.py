@@ -250,7 +250,7 @@ class TestCheckCommand:
         assert "ok: circuit decomposable" in out
         assert "ok: circuit deterministic" in out
         assert "ok: circuit smooth" in out
-        assert "ok: theory models match extensions (7)" in out
+        assert "ok: circuit models match extensions (7)" in out
         assert "ok: model count 7" in out
         assert "ok: prob matches brute force on 4 arguments" in out
         assert "fail" not in out
@@ -352,6 +352,17 @@ class TestExitCodes:
         path.write_text("".join(f"arg(n{i}).\n" for i in range(26)))
         assert run(["extensions", "-f", str(path), "-s", "AD"]) == 2
         assert capsys.readouterr().err.startswith("capacity:")
+
+    def test_grounded_past_the_recursion_limit_is_a_capacity_refusal(self, tmp_path, capsys):
+        # GR meets no enumeration cap, so its theory is encoded in full
+        # before the compiler refuses it.
+        n = sys.getrecursionlimit() + 100
+        af_path, label_path = tmp_path / "wide.apx", tmp_path / "wide_labels.apx"
+        af_path.write_text("".join(f"arg(n{i}).\n" for i in range(n)))
+        label_path.write_text("".join(f"prob(n{i},0.5).\n" for i in range(n)))
+        argv = ["query", "-f", str(af_path), "-l", str(label_path), "-s", "GR", "-a", "n0"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("capacity: compilation")
 
 
 class TestCovarianceFlag:

@@ -283,6 +283,23 @@ class TestCompiledCache:
         # Six theories, plus four constellations: CO and PR share AD's.
         assert calls == {"compile_formula": 10, "model_count": 10}
 
+    def test_preferred_reuses_the_complete_circuit(self, monkeypatch, example_graph):
+        calls = []
+        # Count compiles wherever a module looks compile_formula up.
+        for module in (engine, importlib.import_module("pargue.encode")):
+            real = getattr(module, "compile_formula", None)
+            if real is not None:
+
+                def counting(*args, _real=real, **kwargs):
+                    calls.append(args[0])
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, "compile_formula", counting)
+        engine._compiled.cache_clear()
+        prob(example_graph, Semantics.CO, "d")
+        prob(example_graph, Semantics.PR, "d")
+        assert len(calls) == 2
+
     def test_cache_stays_bounded(self):
         engine._compiled.cache_clear()
         pairs = 0
@@ -457,13 +474,6 @@ class TestFormulaSessions:
                 prob(graph, semantics, name)
                 prob_c(graph, semantics, name)
         assert sizes() == before
-
-    def test_preferred_theory_compiles_complete_in_its_own_session(self):
-        # Called directly, the PR theory is built in the default session,
-        # but the CO compile under it leaves no cofactor there.
-        before = len(formula._COFACTORS)
-        pargue.encode_enumerative(self._framework("rp"), Semantics.PR)
-        assert len(formula._COFACTORS) == before
 
     def test_sessions_nest_and_restore(self):
         outer = formula.and_((formula.var("s0"), formula.var("s1")))
@@ -674,6 +684,20 @@ class TestGuards:
         spec = CovarianceSpec.from_pairs("abcd", {("a", "b"): 0.001})
         with pytest.raises(InputError, match="beta labels"):
             prob(graph, Semantics.AD, "a", covariance=spec)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ArgumentationFramework(["a", 1]),
+            lambda: ArgumentationFramework(["a"], [("a", "a", "a")]),
+            lambda: ProbabilisticGraph(ArgumentationFramework(["a"]), {"a": None}),
+            lambda: ProbabilisticGraph(ArgumentationFramework(["a"]), {"a": "x"}),
+        ],
+        ids=["non-string id", "attack triple", "None label", "text label"],
+    )
+    def test_library_inputs_raise_input_error(self, build):
+        with pytest.raises(InputError):
+            build()
 
     def test_brute_force_capacity(self):
         names = [f"n{i}" for i in range(13)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from pargue import (
     ProbabilisticGraph,
     Semantics,
     and_,
+    credulous,
     encode,
     encode_constellation,
     encode_enumerative,
@@ -29,7 +32,7 @@ from pargue import (
     subgraph_extensions,
     var,
 )
-from pargue.engine import _compiled
+from pargue.engine import _compiled, _theory
 from pargue.formula import assign
 from pargue.semiring import model_masks
 
@@ -159,10 +162,9 @@ class TestDirectEncodings:
         assert model_set(encode(af, Semantics.AD), "a") == {()}
         assert encode(af, Semantics.ST) is FALSE
 
-    def test_no_direct_encoding_for_grounded_or_preferred(self, example_af):
-        for semantics in (Semantics.GR, Semantics.PR):
-            with pytest.raises(InputError):
-                encode(example_af, semantics)
+    def test_no_direct_encoding_for_preferred(self, example_af):
+        with pytest.raises(InputError, match="encode_enumerative"):
+            encode(example_af, Semantics.PR)
 
     @given(frameworks())
     def test_models_are_extensions(self, af):
@@ -177,32 +179,82 @@ class TestDirectEncodings:
             assert encode(af, semantics).vars <= set(af.arguments)
 
 
+def extension_masks(af, semantics):
+    return [af._mask(e) for e in extensions(af, semantics)]
+
+
 class TestEnumerativeEncoding:
+    """One mask-set encoder: GR's theory through ``encode``, PR's through
+    ``engine._theory``, and any listed set of extensions."""
+
     def test_grounded_single_full_conjunction(self, example_af):
-        f = encode_enumerative(example_af, Semantics.GR)
+        f = encode(example_af, Semantics.GR)
         assert model_set(f, "abcd") == {("a", "b", "d")}
 
     def test_chain_preferred(self, chain_af):
-        f = encode_enumerative(chain_af, Semantics.PR)
+        f = _theory(chain_af, Semantics.PR)
         assert model_set(f, "abc") == {("a", "c")}
 
     def test_no_extension_is_false(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
-        assert encode_enumerative(af, Semantics.ST) is FALSE
+        assert encode_enumerative(af.arguments, extension_masks(af, Semantics.ST)) is FALSE
+        assert encode_enumerative(("a", "b"), []) is FALSE
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
+        )
+    )
+    def test_models_are_the_masks(self, case):
+        n, masks = case
+        names = [f"v{i}" for i in range(n)]
+        f = encode_enumerative(names, masks)
+        assert {sum(1 << names.index(x) for x in m) for m in models(f, names)} == masks
+        assert (f is FALSE) == (not masks)
+
+    def test_masks_outside_the_names_rejected(self):
+        with pytest.raises(InputError, match="below 2\\*\\*2"):
+            encode_enumerative(("a", "b"), [4])
+        with pytest.raises(InputError):
+            encode_enumerative(("a", "b"), [-1])
 
     @given(frameworks())
     def test_matches_direct_encodings(self, af):
         for semantics in DIRECT:
             direct = model_set(encode(af, semantics), af.arguments)
-            listed = model_set(encode_enumerative(af, semantics), af.arguments)
+            listed = model_set(
+                encode_enumerative(af.arguments, extension_masks(af, semantics)),
+                af.arguments,
+            )
             assert direct == listed
 
     @given(frameworks())
     def test_every_semantics(self, af):
         for semantics in Semantics:
-            got = model_set(encode_enumerative(af, semantics), af.arguments)
+            got = model_set(_theory(af, semantics), af.arguments)
             want = {tuple(sorted(e)) for e in extensions(af, semantics)}
             assert got == want
+
+    def test_grounded_meets_no_enumeration_cap(self):
+        # The fixed point scans no subsets, so GR answers past the
+        # 25-argument enumeration cap, which still refuses CO.
+        names = [f"n{i:02d}" for i in range(30)]
+        af = ArgumentationFramework(names, list(zip(names, names[1:])))
+        grounded = frozenset(names[::2])
+        assert extensions(af, Semantics.GR) == (grounded,)
+        assert credulous(af, Semantics.GR, "n00") and not credulous(af, Semantics.GR, "n01")
+        f = encode(af, Semantics.GR)
+        assert f.vars == set(names)
+        assert satisfies(f, grounded) and not satisfies(f, grounded | {"n01"})
+        with pytest.raises(CapacityError):
+            extensions(af, Semantics.CO)
+
+    def test_more_names_than_the_recursion_limit(self):
+        names = [f"n{i:04d}" for i in range(sys.getrecursionlimit() + 100)]
+        f = encode(ArgumentationFramework(names), Semantics.GR)
+        assert f is and_(var(name) for name in names)
+        masks = [(1 << len(names)) - 1, 1]
+        assert satisfies(encode_enumerative(names, masks), {names[0]})
 
 
 class TestConstellationEncoding:
