@@ -9,11 +9,12 @@ from padding, during the same expansion, each branch with (v or not v) gap
 nodes for the variables that simplification dropped.
 
 Variables named to be eliminated are projected away existentially, in the
-manner of projected model counting (Lagniez & Marquis, AAAI 2019): only the
-kept variables are decided, an eliminated unit literal is assigned without
-being emitted, and a residual that mentions no kept variable becomes true or
-false by a memoised satisfiability check. Every disjunction still branches
-on a kept variable, so the circuit stays deterministic.
+manner of projected model counting (Lagniez & Marquis, AAAI 2019), within
+the same search: kept variables are decided first, an eliminated unit
+literal is assigned without being emitted, and a residual that mentions no
+kept variable decides its least eliminated variable, true first, trying
+false only when true fails, so it becomes the true or the false node. Only
+kept variables make disjunctions, so the circuit stays deterministic.
 
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
@@ -121,6 +122,13 @@ class _Builder:
         return self._add(Node("or", children=tuple(kept), decision=decision))
 
 
+def _require_width(variables: int, eliminated: int = 0) -> None:
+    """Refuse more than ``MAX_COMPILE_VARIABLES`` kept or eliminated variables."""
+    for count, kind in ((variables, "variables"), (eliminated, "eliminated variables")):
+        if count > MAX_COMPILE_VARIABLES:
+            raise CapacityError(f"compilation supports at most {MAX_COMPILE_VARIABLES} {kind}, got {count}")
+
+
 def compile_formula(
     f: Formula, variables: Iterable[str] | None = None, eliminate: Iterable[str] = ()
 ) -> Circuit:
@@ -130,7 +138,9 @@ def compile_formula(
     is padded with gap nodes for the extras, so model counts range over the
     full set. ``eliminate`` names variables to project away: the circuit's
     models are the assignments to the declared variables that extend to a
-    model of ``f``. Only declared variables count towards the capacity.
+    model of ``f``. At most ``MAX_COMPILE_VARIABLES`` declared variables, and
+    as many eliminated ones, are compiled: each level of the expansion decides
+    or assigns a variable, so it recurses at most one deeper than their sum.
     """
     hidden = frozenset(eliminate)
     kept = f.vars - hidden
@@ -141,15 +151,10 @@ def compile_formula(
     both = hidden.intersection(declared)
     if both:
         raise InputError(f"variables both kept and eliminated: {sorted(both)}")
-    if len(declared) > MAX_COMPILE_VARIABLES:
-        raise CapacityError(
-            f"compilation supports at most {MAX_COMPILE_VARIABLES} variables, "
-            f"got {len(declared)}"
-        )
+    _require_width(len(declared), len(f.vars & hidden))
 
     builder = _Builder()
     seen: dict[Formula, int] = {}
-    satisfiable: dict[Formula, bool] = {}
 
     def scope(g: Formula) -> frozenset[str]:
         return g.vars - hidden if hidden else g.vars
@@ -173,9 +178,7 @@ def compile_formula(
         if cached is not None:
             return cached
         span = scope(g)
-        if not span:
-            result = builder.true() if _satisfiable(g, satisfiable) else builder.false()
-        elif isinstance(g, Lit):
+        if isinstance(g, Lit) and span:
             result = builder.literal(g.var, g.positive)
         else:
             units, rest = _peel_units(g)
@@ -185,6 +188,12 @@ def compile_formula(
                 parts = [builder.literal(u.var, u.positive) for u in shown]
                 parts.append(build(rest))
                 result = padded(parts, scope(rest).union(u.var for u in shown), span)
+            elif not span:
+                # Projection: the least eliminated variable true, else false.
+                v = min(g.vars)
+                result = build(assign(g, v, True))
+                if builder.nodes[result].kind == "false":
+                    result = build(assign(g, v, False))
             else:
                 v = min(span)
                 branches = []
@@ -212,27 +221,6 @@ def _peel_units(g: Formula) -> tuple[list[Lit], Formula]:
     for u in units:
         rest = assign(rest, u.var, u.positive)
     return units, rest
-
-
-def _satisfiable(g: Formula, memo: dict[Formula, bool]) -> bool:
-    """Whether ``g`` has a model: a search with unit propagation, memoised
-    on the residual formula."""
-    if g is TRUE:
-        return True
-    if g is FALSE:
-        return False
-    known = memo.get(g)
-    if known is None:
-        units, rest = _peel_units(g)
-        if units:
-            known = _satisfiable(rest, memo)
-        else:
-            v = min(g.vars)
-            known = _satisfiable(assign(g, v, True), memo) or _satisfiable(
-                assign(g, v, False), memo
-            )
-        memo[g] = known
-    return known
 
 
 def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:

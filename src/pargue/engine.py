@@ -33,7 +33,7 @@ from typing import Mapping
 
 from .af import ArgumentationFramework, Semantics, _all_extension_masks
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
-from .circuit import Circuit, compile_formula, condition, model_count
+from .circuit import Circuit, _require_width, compile_formula, condition, model_count
 from .encode import _accepted, encode, encode_constellation, encode_enumerative
 from .errors import CapacityError, InputError
 from .formula import Formula, session
@@ -121,6 +121,8 @@ def _compiled(
     argument's constellation. Always pass all three arguments, so that each
     target has one cache key.
     """
+    # Refused before encoding; a constellation eliminates one variable per argument.
+    _require_width(len(af.arguments))
     with session():
         if argument is None:
             formula, hidden = _theory(af, semantics), ()
@@ -130,6 +132,17 @@ def _compiled(
             hidden = formula.vars.difference(af.arguments)
         circuit = compile_formula(formula, variables=af.arguments, eliminate=hidden)
     return circuit, model_count(circuit)
+
+
+def _target(
+    af: ArgumentationFramework, semantics: Semantics, argument: str, mode: str
+) -> tuple[Circuit, int]:
+    """The theory for ``prob``, the argument's constellation for ``prob-c``:
+    AD's under CO and PR too, whose credulous acceptance is AD's (Dung 1995)."""
+    if mode == "prob":
+        return _compiled(af, semantics, None)
+    shared = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics
+    return _compiled(af, shared, argument)
 
 
 def _query(
@@ -142,15 +155,8 @@ def _query(
 ) -> QueryResult:
     af = graph.framework
     af._require(argument)
-    if mode == "prob":
-        circuit, count = _compiled(af, semantics, None)
-        forced = {argument: True}
-    else:
-        # Credulous acceptance is the same under AD, CO and PR (Dung 1995),
-        # so the three share AD's constellation circuit and count.
-        key = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics
-        circuit, count = _compiled(af, key, argument)
-        forced = {}
+    circuit, count = _target(af, semantics, argument, mode)
+    forced = {argument: True} if mode == "prob" else {}
     if covariance is not None and not graph.beta_mode:
         raise InputError("covariances require beta labels")
     moments = _answer(circuit, graph.means, graph.variances, covariance, forced)
@@ -282,10 +288,9 @@ def mc_oracle(
         raise InputError(f"unknown query mode {mode!r}")
     af = graph.framework
     af._require(argument)
+    circuit = _target(af, semantics, argument, mode)[0]
     if mode == "prob":
-        circuit = condition(_compiled(af, semantics, None)[0], {argument: True})
-    else:
-        circuit = _compiled(af, semantics, argument)[0]
+        circuit = condition(circuit, {argument: True})
     labels = graph.beta_labels()
 
     rng = np.random.default_rng(seed)

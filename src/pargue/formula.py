@@ -1,8 +1,8 @@
 """Hash-consed propositional formulas in negation normal form.
 
-Every connective is built through a factory that flattens nested operators,
-drops neutral elements, deduplicates children and collapses complementary
-literal pairs, so structurally equal formulas are always the same object.
+Both connectives are built by one factory (``_join``) that flattens nested
+operators, drops neutral elements, deduplicates children and collapses
+complementary literal pairs, so structurally equal formulas are one object.
 That makes identity-keyed caches (cofactors, compilation) cheap.
 
 The intern tables, the cofactor table and the serial counter belong to a
@@ -126,71 +126,46 @@ def not_(f: Formula) -> Formula:
     return and_(not_(c) for c in f.children)
 
 
-def _gather(items: Iterable[Formula], absorbing: Formula, neutral: Formula,
-            flatten: type) -> list[Formula] | None:
-    # None signals that the absorbing constant was hit.
+_by_serial = operator.attrgetter("serial")
+
+
+def _join(items: Iterable[Formula], kind: type, table: dict, absorbing: Formula,
+          neutral: Formula) -> Formula:
+    """The interned ``kind`` connective of ``items``: nested ``kind`` children
+    flattened, ``neutral`` dropped, duplicates dropped (interning makes
+    identity comparisons sound), the rest sorted by serial; ``absorbing`` if
+    it occurs or a literal meets its complement."""
     flat: list[Formula] = []
     for f in items:
         if f is neutral:
             continue
         if f is absorbing:
-            return None
-        if isinstance(f, flatten):
+            return absorbing
+        if isinstance(f, kind):
             flat.extend(f.children)
         else:
             flat.append(f)
-    return flat
-
-
-_by_serial = operator.attrgetter("serial")
-
-
-def _normalize(flat: list[Formula]) -> list[Formula] | None:
-    # Dedupe (interning makes identity comparisons sound) and detect x with ~x.
     # Children mostly arrive in serial order already, which the sort exploits.
     unique = sorted(dict.fromkeys(flat), key=_by_serial)
     polarity: dict[str, bool] = {}
     for f in unique:
-        if isinstance(f, Lit):
-            if polarity.setdefault(f.var, f.positive) != f.positive:
-                return None
-    return unique
+        if isinstance(f, Lit) and polarity.setdefault(f.var, f.positive) != f.positive:
+            return absorbing
+    if len(unique) < 2:
+        return unique[0] if unique else neutral
+    key = tuple(f.serial for f in unique)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = kind(tuple(unique))
+    return node
 
 
 def and_(items: Iterable[Formula]) -> Formula:
-    flat = _gather(items, absorbing=FALSE, neutral=TRUE, flatten=And)
-    if flat is None:
-        return FALSE
-    unique = _normalize(flat)
-    if unique is None:
-        return FALSE
-    if not unique:
-        return TRUE
-    if len(unique) == 1:
-        return unique[0]
-    key = tuple(f.serial for f in unique)
-    node = _ANDS.get(key)
-    if node is None:
-        node = _ANDS[key] = And(tuple(unique))
-    return node
+    return _join(items, And, _ANDS, FALSE, TRUE)
 
 
 def or_(items: Iterable[Formula]) -> Formula:
-    flat = _gather(items, absorbing=TRUE, neutral=FALSE, flatten=Or)
-    if flat is None:
-        return TRUE
-    unique = _normalize(flat)
-    if unique is None:
-        return TRUE
-    if not unique:
-        return FALSE
-    if len(unique) == 1:
-        return unique[0]
-    key = tuple(f.serial for f in unique)
-    node = _ORS.get(key)
-    if node is None:
-        node = _ORS[key] = Or(tuple(unique))
-    return node
+    return _join(items, Or, _ORS, TRUE, FALSE)
 
 
 def assign(f: Formula, name: str, value: bool) -> Formula:

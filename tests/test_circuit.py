@@ -138,6 +138,16 @@ class TestCompile:
         c = compile_formula(wide, variables=kept, eliminate=[f"y{i}" for i in range(20)])
         assert model_count(c) == 2**20
 
+    def test_capacity_counts_eliminated_variables(self):
+        # An implication chain over 1,501 eliminated variables: deciding them
+        # one by one would recurse past the interpreter's limit.
+        hidden = [f"h{i:04d}" for i in range(1501)]
+        chain = [or_((not_(var(x)), var(y))) for x, y in zip(hidden, hidden[1:])]
+        with pytest.raises(CapacityError, match="at most 25 eliminated variables, got 1501"):
+            compile_formula(and_([var("a"), *chain]), eliminate=hidden)
+        wide = and_([var("a"), *chain[:24]])
+        assert model_count(compile_formula(wide, eliminate=hidden[:25])) == 1
+
     def test_eliminated_variable_cannot_be_kept(self):
         with pytest.raises(InputError):
             compile_formula(var("a"), variables=["a"], eliminate=["a"])
@@ -145,8 +155,8 @@ class TestCompile:
             compile_formula(and_((var("a"), var("b"))), variables=["a"], eliminate=["c"])
 
     def test_unsatisfiable_residual_projects_to_false(self):
-        # No unit to propagate: only the satisfiability check sees that the
-        # residual over c and d has no model.
+        # No unit to propagate: only deciding the eliminated c and d, after
+        # the kept a, shows that the residual has no model.
         c, d = var("c"), var("d")
         clauses = [or_((x, y)) for x in (c, not_(c)) for y in (d, not_(d))]
         f = or_((var("a"), and_(clauses)))

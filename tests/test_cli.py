@@ -353,16 +353,30 @@ class TestExitCodes:
         assert run(["extensions", "-f", str(path), "-s", "AD"]) == 2
         assert capsys.readouterr().err.startswith("capacity:")
 
-    def test_grounded_past_the_recursion_limit_is_a_capacity_refusal(self, tmp_path, capsys):
-        # GR meets no enumeration cap, so its theory is encoded in full
-        # before the compiler refuses it.
-        n = sys.getrecursionlimit() + 100
-        af_path, label_path = tmp_path / "wide.apx", tmp_path / "wide_labels.apx"
-        af_path.write_text("".join(f"arg(n{i}).\n" for i in range(n)))
-        label_path.write_text("".join(f"prob(n{i},0.5).\n" for i in range(n)))
-        argv = ["query", "-f", str(af_path), "-l", str(label_path), "-s", "GR", "-a", "n0"]
-        assert run(argv) == 2
-        assert capsys.readouterr().err.startswith("capacity: compilation")
+    def test_grounded_past_the_recursion_limit_is_a_capacity_refusal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # GR meets no enumeration cap; the compile cap refuses a chain longer
+        # than the recursion limit before its fixed point runs or its theory
+        # is encoded.
+        calls = []
+        engine, encode = pargue.engine, sys.modules["pargue.encode"]
+        for module, name in ((engine, "encode"), (engine, "encode_constellation"),
+                             (encode, "extensions"), (encode, "_extension_masks")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        n = max(1200, sys.getrecursionlimit() + 100)
+        names = [f"n{i}" for i in range(n)]
+        af_path, label_path = tmp_path / "chain.apx", tmp_path / "chain_labels.apx"
+        af_path.write_text(format_af(ArgumentationFramework(names, list(zip(names, names[1:])))))
+        label_path.write_text("".join(f"prob({name},0.5).\n" for name in names))
+        for mode in ("prob", "prob-c"):
+            argv = ["query", "-f", str(af_path), "-l", str(label_path), "-s", "GR",
+                    "-a", "n0", "--mode", mode]
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"capacity: compilation supports at most 25 variables, got {n}\n"
+            )
+        assert calls == []
 
 
 class TestCovarianceFlag:

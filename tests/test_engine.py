@@ -300,6 +300,24 @@ class TestCompiledCache:
         prob(example_graph, Semantics.PR, "d")
         assert len(calls) == 2
 
+    def test_mc_oracle_shares_the_admissible_constellation(self, monkeypatch, example_graph):
+        compiles = []
+        real = engine.compile_formula
+
+        def counting(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "compile_formula", counting)
+        engine._compiled.cache_clear()
+        prob_c(example_graph, Semantics.AD, "d")
+        estimates = {
+            s: mc_oracle(example_graph, s, "d", "prob-c", samples=200, seed=3)
+            for s in (Semantics.AD, Semantics.CO, Semantics.PR)
+        }
+        assert len(compiles) == 1
+        assert estimates[Semantics.CO] == estimates[Semantics.PR] == estimates[Semantics.AD]
+
     def test_cache_stays_bounded(self):
         engine._compiled.cache_clear()
         pairs = 0
@@ -722,3 +740,22 @@ class TestGuards:
         graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
         with pytest.raises(CapacityError):
             prob(graph, Semantics.AD, "n0")
+
+    def test_compile_capacity_refuses_before_encoding(self, monkeypatch):
+        # A 1,200-argument chain: GR's fixed point alone takes 600 rounds.
+        calls = []
+        encode_module = importlib.import_module("pargue.encode")
+        for module, name in ((engine, "encode"), (engine, "encode_constellation"),
+                             (engine, "encode_enumerative"), (encode_module, "extensions"),
+                             (encode_module, "_extension_masks")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        names = [f"n{i:04d}" for i in range(1200)]
+        af = ArgumentationFramework(names, list(zip(names, names[1:])))
+        graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
+        for semantics in Semantics:
+            for query in (prob, prob_c):
+                with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
+                    query(graph, semantics, "n0000")
+        with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
+            mc_oracle(graph, Semantics.GR, "n0000", "prob-c", samples=1, seed=0)
+        assert calls == []

@@ -96,6 +96,13 @@ class TestNormalization:
         assert and_([a, not_(a)]) is FALSE
         assert or_([a, not_(a)]) is TRUE
 
+    @given(st.lists(formulas(), max_size=4))
+    def test_connectives_agree_with_semantics(self, fs):
+        conj, disj = and_(fs), or_(fs)
+        for on in models(TRUE, ["a", "b", "c", "d"]):
+            assert satisfies(conj, on) == all(satisfies(f, on) for f in fs)
+            assert satisfies(disj, on) == any(satisfies(f, on) for f in fs)
+
     def test_interning(self):
         one = and_([var("a"), lit("b", False)])
         two = and_([lit("b", False), var("a")])
