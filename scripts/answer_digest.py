@@ -2,15 +2,25 @@
 """Print one sha256 digest of the engine's answers on the benchmark corpora.
 
 Every op of the warm-table and prob-c corpora (``benchmark/corpus.py``) for
-seeds 1-3 is answered in this one process, in corpus order. Each answer
-contributes ``float.hex`` of its mean and variance, its circuit node count
-and its model count, so two checkouts print the same digest exactly when
-their answers are bit-identical and their circuits the same size.
+seeds 1-3 is answered in this one process, in corpus order. Each answer is
+one line: ``float.hex`` of its mean and variance, its circuit node count and
+its model count. The digest is the sha256 of those lines, so two checkouts
+print the same digest exactly when their answers are bit-identical and their
+circuits the same size.
+
+``--write FILE`` saves the lines; ``--compare FILE`` reads lines saved by an
+earlier checkout and prints the largest change in mean and in variance, the
+model-count mismatches and the node totals. It exits 1 on any model-count
+mismatch, on a different number of answers, or on a change over 1e-12.
 
     python3 scripts/answer_digest.py
+    python3 scripts/answer_digest.py --write before.txt   # in one checkout
+    python3 scripts/answer_digest.py --compare before.txt # in another
 """
 
+import argparse
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,6 +35,7 @@ from pargue import ProbabilisticGraph, Semantics, cli, prob, prob_c  # noqa: E40
 
 WORKLOADS = ("warm-table", "prob-c")
 SEEDS = (1, 2, 3)
+TOLERANCE = 1e-12
 
 
 def answers(spec: dict):
@@ -40,22 +51,58 @@ def answers(spec: dict):
         yield run[op["mode"]](graph, Semantics(op["semantics"]), op["argument"])
 
 
-def main() -> int:
-    digest = hashlib.sha256()
-    count = 0
+def _fields(line: str) -> tuple[float, float, int, int]:
+    mean, variance, nodes, count = line.split()
+    return float.fromhex(mean), float.fromhex(variance), int(nodes), int(count)
+
+
+def _largest_change(pairs) -> float:
+    # A change that is not a number (inf - inf, nan) counts as infinite.
+    changes = (0.0 if a == b else abs(a - b) for a, b in pairs)
+    return max((d if d == d else math.inf for d in changes), default=0.0)
+
+
+def compare(before: list[str], after: list[str]) -> int:
+    """Report how ``after`` differs from ``before``; 1 if beyond tolerance."""
+    if len(before) != len(after):
+        print(f"answers differ in number: {len(before)} before, {len(after)} now")
+        return 1
+    old = [_fields(line) for line in before]
+    new = [_fields(line) for line in after]
+    mean = _largest_change((a[0], b[0]) for a, b in zip(old, new))
+    variance = _largest_change((a[1], b[1]) for a, b in zip(old, new))
+    mismatches = sum(a[3] != b[3] for a, b in zip(old, new))
+    print(f"largest change: mean {mean:.3g}, variance {variance:.3g} (tolerance {TOLERANCE:g})")
+    print(f"model-count mismatches: {mismatches}")
+    print(f"circuit nodes, summed over answers: {sum(a[2] for a in old)} before, "
+          f"{sum(b[2] for b in new)} now")
+    return 1 if mismatches or max(mean, variance) > TOLERANCE else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", metavar="FILE", help="save one line per answer to FILE")
+    parser.add_argument("--compare", metavar="FILE", help="compare with the lines saved in FILE")
+    args = parser.parse_args(argv)
+    lines = []
     start = time.perf_counter()
     for workload in WORKLOADS:
         for seed in SEEDS:
             for result in answers(corpus.WORKLOADS[workload](seed)):
-                digest.update(
+                lines.append(
                     f"{result.mean.hex()} {result.variance.hex()} "
-                    f"{result.circuit_nodes} {result.model_count}\n".encode()
+                    f"{result.circuit_nodes} {result.model_count}\n"
                 )
-                count += 1
     elapsed = time.perf_counter() - start
-    print(f"answers: {count} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}) "
+    text = "".join(lines)
+    print(f"answers: {len(lines)} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}) "
           f"in {elapsed:.1f}s")
-    print(f"digest:  {digest.hexdigest()}")
+    print(f"digest:  {hashlib.sha256(text.encode()).hexdigest()}")
+    if args.write:
+        Path(args.write).write_text(text, encoding="utf-8")
+    if args.compare:
+        before = Path(args.compare).read_text(encoding="utf-8").splitlines()
+        return compare(before, text.splitlines())
     return 0
 
 

@@ -1,18 +1,24 @@
 """Compilation of formulas into smooth deterministic decomposable circuits.
 
-The compiler runs Shannon expansion over a fixed variable order (sorted
-argument ids), with unit propagation and a cache keyed on the simplified
-subformula, so shared subproblems become shared circuit nodes. Disjunctions
-always branch on a decision variable, which gives determinism by
-construction; decomposability falls out of conditioning; smoothness comes
-from padding, during the same expansion, each branch with (v or not v) gap
-nodes for the variables that simplification dropped.
+The compiler is a component-caching search in the manner of decision-DNNF
+compilers (Darwiche, ECAI 2004; Lagniez & Marquis, IJCAI 2017). It peels
+unit literals; it splits a conjunction whose children fall into groups that
+share no variable and compiles each group apart, which makes a decomposable
+conjunction; otherwise it runs Shannon expansion on the variable that occurs
+in the most of the residual's top-level children, the least name on ties. A
+cache keyed on the simplified subformula, components included, turns shared
+subproblems into shared circuit nodes. Disjunctions always branch on a
+decision variable, which gives determinism by construction; decomposability
+falls out of conditioning and splitting; smoothness comes from padding,
+during the same search, each branch with (v or not v) gap nodes for the
+variables that simplification dropped.
 
 Variables named to be eliminated are projected away existentially, in the
 manner of projected model counting (Lagniez & Marquis, AAAI 2019), within
 the same search: kept variables are decided first, an eliminated unit
-literal is assigned without being emitted, and a residual that mentions no
-kept variable decides its least eliminated variable, true first, trying
+literal is assigned without being emitted, components are split on all
+variables, eliminated ones included, and a residual that mentions no kept
+variable decides its most shared eliminated variable, true first, trying
 false only when true fails, so it becomes the true or the false node. Only
 kept variables make disjunctions, so the circuit stays deterministic.
 
@@ -139,8 +145,9 @@ def compile_formula(
     full set. ``eliminate`` names variables to project away: the circuit's
     models are the assignments to the declared variables that extend to a
     model of ``f``. At most ``MAX_COMPILE_VARIABLES`` declared variables, and
-    as many eliminated ones, are compiled: each level of the expansion decides
-    or assigns a variable, so it recurses at most one deeper than their sum.
+    as many eliminated ones, are compiled. The search recurses at most two
+    frames per variable it decides or assigns, one more at the bottom: a
+    frame that splits a conjunction is followed by one that decides.
     """
     hidden = frozenset(eliminate)
     kept = f.vars - hidden
@@ -178,8 +185,9 @@ def compile_formula(
         if cached is not None:
             return cached
         span = scope(g)
-        if isinstance(g, Lit) and span:
-            result = builder.literal(g.var, g.positive)
+        if isinstance(g, Lit):
+            # An eliminated literal is satisfiable, so it projects to true.
+            result = builder.literal(g.var, g.positive) if span else builder.true()
         else:
             units, rest = _peel_units(g)
             if units:
@@ -188,14 +196,18 @@ def compile_formula(
                 parts = [builder.literal(u.var, u.positive) for u in shown]
                 parts.append(build(rest))
                 result = padded(parts, scope(rest).union(u.var for u in shown), span)
+            elif isinstance(g, And) and len(groups := _components(g.children)) > 1:
+                # Conjuncts sharing no variable, eliminated ones included,
+                # compile apart; the parts together mention exactly span.
+                result = builder.conj([build(and_(group)) for group in groups])
             elif not span:
-                # Projection: the least eliminated variable true, else false.
-                v = min(g.vars)
+                # Projection: the most shared eliminated variable true, else false.
+                v = _most_shared(g.children, g.vars)
                 result = build(assign(g, v, True))
                 if builder.nodes[result].kind == "false":
                     result = build(assign(g, v, False))
             else:
-                v = min(span)
+                v = _most_shared(g.children, span)
                 branches = []
                 for value in (True, False):
                     sub = assign(g, v, value)
@@ -221,6 +233,34 @@ def _peel_units(g: Formula) -> tuple[list[Lit], Formula]:
     for u in units:
         rest = assign(rest, u.var, u.positive)
     return units, rest
+
+
+def _components(children: Sequence[Formula]) -> list[list[Formula]]:
+    """``children`` grouped into the connected components of shared variables,
+    each group and the groups in child order."""
+    groups: list[tuple[set[str], list[int]]] = []
+    for i, c in enumerate(children):
+        joined, members, apart = set(c.vars), [i], []
+        for group in groups:
+            if joined.isdisjoint(group[0]):
+                apart.append(group)
+            else:
+                joined |= group[0]
+                members += group[1]
+        apart.append((joined, members))
+        groups = apart
+    ordered = sorted(sorted(members) for _, members in groups)
+    return [[children[i] for i in members] for members in ordered]
+
+
+def _most_shared(children: Sequence[Formula], pool: frozenset[str]) -> str:
+    """The variable of ``pool`` in the most ``children``, the least name on ties."""
+    counts = dict.fromkeys(pool, 0)
+    for c in children:
+        for v in c.vars:
+            if v in counts:
+                counts[v] += 1
+    return min(counts, key=lambda v: (-counts[v], v))
 
 
 def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:

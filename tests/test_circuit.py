@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pargue
 from pargue import (
     COUNTING,
     FALSE,
@@ -42,6 +47,8 @@ from conftest import frameworks
 from test_formula_encode import formulas
 
 NAMES = ("a", "b", "c", "d")
+# Three disjoint renamings of the names ``formulas()`` draws from.
+BLOCKS = tuple(tuple(f"{name}{k}" for name in "abc") for k in range(3))
 
 
 def compiled_example(example_af):
@@ -173,6 +180,30 @@ class TestCompile:
         assert got == {m - hidden for m in models(f, NAMES)}
         assert model_count(c) == len(got)
 
+    @given(
+        st.tuples(*(formulas(block) for block in BLOCKS)),
+        st.sets(st.sampled_from([name for block in BLOCKS for name in block])),
+    )
+    def test_split_conjunction_matches_truth_table(self, parts, hidden):
+        # Conjuncts over disjoint name blocks share no variable, so the
+        # compiler splits them; projection stays existential per component.
+        names = sorted(name for block in BLOCKS for name in block)
+        f = and_(parts)
+        kept = [name for name in names if name not in hidden]
+        c = compile_formula(f, variables=kept, eliminate=hidden)
+        assert validate(c).all_passed
+        got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
+        assert got == {m - hidden for m in models(f, names)}
+        assert model_count(c) == len(got)
+
+    def test_independent_conjuncts_compile_apart(self):
+        f = and_((or_((var("a"), var("b"))), or_((var("c"), var("d")))))
+        c = compile_formula(f, variables=NAMES)
+        root = c.nodes[c.root]
+        assert root.kind == "and"
+        assert [c.nodes[i].decision for i in root.children] == ["a", "c"]
+        assert model_count(c) == 9
+
     @given(formulas())
     def test_counts_match_truth_table(self, f):
         c = compile_formula(f, variables=NAMES)
@@ -222,6 +253,46 @@ class TestCompile:
             c = compile_formula(encode(af, semantics), variables=names)
             assert validate(c).all_passed
         assert calls == []
+
+    def test_wide_admissible_theory_stays_small(self, monkeypatch):
+        # Splitting independent conjuncts and deciding the most shared
+        # variable keep this sparse theory to 824 nodes; sorted-id order
+        # builds 16,062.
+        monkeypatch.setattr(importlib.import_module("pargue.circuit"), "MAX_COMPILE_VARIABLES", 120)
+        rng = random.Random(120)
+        names = [f"x{i:03d}" for i in range(120)]
+        af = ArgumentationFramework(names, rng.sample([(s, t) for s in names for t in names], 180))
+        c = compile_formula(encode(af, Semantics.AD), variables=names)
+        assert validate(c).all_passed
+        assert len(c.nodes) < 2000
+
+    def test_circuits_do_not_depend_on_the_hash_seed(self):
+        # The split groups conjuncts by sets of names; string hashing varies
+        # between processes unless PYTHONHASHSEED is fixed.
+        code = (
+            "import random\n"
+            "from pargue import ArgumentationFramework, Semantics, format_nnf\n"
+            "from pargue.engine import _compiled\n"
+            "r = random.Random(24)\n"
+            "n = [f'x{i:02d}' for i in range(24)]\n"
+            "af = ArgumentationFramework(n, r.sample([(s, t) for s in n for t in n], 36))\n"
+            "for argument in (None, 'x00'):\n"
+            "    print(format_nnf(_compiled(af, Semantics.AD, argument)[0]))\n"
+        )
+        src = str(Path(pargue.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"nnf ") == 2
 
 
 class TestSmoothing:
