@@ -219,6 +219,19 @@ def credulous(af: ArgumentationFramework, semantics: Semantics, argument: str) -
     return any(m & bit for m in _all_extension_masks(af, semantics))
 
 
+def _cone_mask(af: ArgumentationFramework, argument: str) -> int:
+    """The argument's relevance cone as a mask: the argument and every
+    argument with an attack path to it, found by a reverse search."""
+    cone = frontier = 1 << af._require(argument)
+    while frontier:
+        reached = 0
+        for i in _bits(frontier):
+            reached |= af._attacker_masks[i]
+        frontier = reached & ~cone
+        cone |= frontier
+    return cone
+
+
 def subgraph(af: ArgumentationFramework, members: Iterable[str]) -> ArgumentationFramework:
     """Framework induced by a subset of the arguments."""
     mask = af._mask(members)

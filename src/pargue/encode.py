@@ -12,12 +12,27 @@ reads them off its cached CO circuit, so ``encode`` has no PR case.
 
 The constellation encoding describes, for one query argument, every induced
 subgraph in which that argument is credulously accepted. Under CF it is a
-closed form. Under AD, CO, PR and ST it is an existential theory: beside the
-presence variables (the argument ids) it has one membership variable per
-argument (``_member``), for an extension of the present subgraph that holds
-the query argument; compiling it with the membership variables eliminated
-leaves the accepting subgraphs. GR has no such form, so its accepting
-subgraphs come from a scan of every subgraph's fixed point (``_accepted``).
+closed form. Under AD, CO, PR and GR, whether a subgraph accepts the
+argument depends only on the part of it inside the argument's relevance
+cone, the argument and every argument with an attack path to it: an
+admissible set holding the argument stays admissible when cut down to the
+cone, and for GR this is directionality (Baroni & Giacomin, AIJ 2007).
+Those constellations are therefore encoded over the cone's subgraph alone,
+and the arguments outside it stay free; the engine compiles them over all
+of the framework's ids, so the free ones become gap nodes. ST keeps the
+whole framework, since a stable extension must attack every present
+argument outside it. Under AD, CO, PR and ST the theory is existential:
+beside the presence variables (the argument ids) it has one membership
+variable per argument (``_member``), for an extension of the present
+subgraph that holds the query argument; compiling it with the membership
+variables eliminated leaves the accepting subgraphs. GR has no such form,
+so its accepting subgraphs come from a scan of every subgraph's fixed point
+(``_accepted``), over the cone, so arguments with one cone share one table.
+
+``pargue/__init__.py`` re-exports the function ``encode`` under this
+module's name, so ``import pargue.encode as E`` binds the function, and an
+attribute set on it patches nothing. Reach the module itself with
+``importlib.import_module("pargue.encode")``.
 """
 
 from __future__ import annotations
@@ -28,15 +43,19 @@ from typing import Iterable, Sequence
 from .af import (
     ArgumentationFramework,
     Semantics,
+    _cone_mask,
     _extension_masks,
     attackers,
     extensions,
+    subgraph,
 )
 from .errors import CapacityError, InputError
 from .formula import FALSE, TRUE, Formula, and_, lit, not_, or_, var
 
-# The acceptance table visits every subgraph: 2^n fixed points under GR,
-# 3^n (subgraph, subset) pairs under the other semantics (the prob-c oracle).
+# The acceptance table visits every subgraph of the framework it is built
+# for: 2^n fixed points under GR, where GR's constellation builds it for the
+# argument's cone, so n counts cone arguments; 3^n (subgraph, subset) pairs
+# under the other semantics (the prob-c oracle, on the whole framework).
 MAX_CONSTELLATION_ARGUMENTS = 20
 
 
@@ -123,9 +142,11 @@ def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Formula:
     return built(0, tails)
 
 
-# One prob-c benchmark corpus touches 6 (framework, GR) pairs, and the
-# process that checks it against the oracles 36 (framework, semantics)
-# pairs; this holds them with room.
+# Keyed on the framework the table is built for: an argument's cone subgraph
+# for GR's constellation, the whole framework for the prob-c oracle. One
+# prob-c benchmark pass builds at most one GR table per argument (57), and
+# the process that checks it against the oracles 36 (framework, semantics)
+# tables; each fits.
 @lru_cache(maxsize=64)
 def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
     """Per subgraph mask, the union of the induced subgraph's extensions:
@@ -153,19 +174,24 @@ def encode_constellation(
     """Theory of the induced subgraphs that credulously accept the argument.
 
     Under CF the argument's singleton is conflict-free unless it attacks
-    itself, so the theory is the argument itself, or FALSE. Under GR it is
-    the decision-shaped formula of the accepting subgraphs. Under AD, CO,
-    PR and ST its models, projected onto the argument ids, name the
+    itself, so the theory is the argument itself, or FALSE. Every other
+    semantics but ST is encoded on the subgraph of the argument's relevance
+    cone, and its theory leaves the arguments outside the cone free. Under
+    GR it is the decision-shaped formula of the accepting subgraphs. Under
+    AD, CO, PR and ST its models, projected onto the argument ids, name the
     arguments present in one accepting subgraph: the membership variables
     describe an extension of that subgraph holding the argument, which is
     conflict-free and inside the subgraph; under AD (and CO and PR, whose
     credulous acceptance is the same, Dung 1995) it attacks every present
     attacker of a member, and under ST every present non-member.
     """
-    bit = 1 << af._require(argument)
+    af._require(argument)
     if semantics is Semantics.CF:
         return FALSE if (argument, argument) in af.attacks else var(argument)
+    if semantics is not Semantics.ST:
+        af = subgraph(af, af._members(_cone_mask(af, argument)))
     if semantics is Semantics.GR:
+        bit = 1 << af._index[argument]
         table = _accepted(af, semantics)
         accepting = (s for s, union in enumerate(table) if union & bit)
         return encode_enumerative(af.arguments, accepting)

@@ -9,12 +9,17 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
 * ``prob_c``: each subset of arguments induces a subgraph; the query asks
   for the total probability of the subgraphs that credulously accept the
   argument. CO and PR share AD's constellation, compiled like ST's from an
-  existential theory with its membership variables projected away; CF's
-  has a closed form, and GR's lists the subgraphs its fixed point accepts.
+  existential theory with its membership variables projected away; GR's
+  lists the subgraphs its fixed point accepts. AD's and GR's are encoded
+  on the argument's relevance cone alone, ST's on the whole framework,
+  and each is compiled over every argument, so model counts range over
+  all of them. CF's is answered in closed form, with no circuit: the
+  argument's own label, or 0 if it attacks itself.
 
-Both modes answer through ``_query``. It takes the circuit and its model
-count from ``_compiled``, one bounded cache of compiled targets (a
-framework's theory, or one argument's constellation). Each target is
+Both modes answer through ``_query``. Apart from CF's closed form, it takes
+the circuit and its model count from ``_compiled``, one bounded cache of
+compiled targets (a framework's theory, or one argument's constellation,
+which ``mc_oracle`` still compiles under CF too). Each target is
 encoded and compiled in a formula session of its own, dropped once the
 circuit is built, so no formula outlives its target and a target compiles
 to the same circuit whatever the process built before; PR's theory reads
@@ -39,7 +44,7 @@ from .errors import CapacityError, InputError
 from .formula import Formula, session
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
-from .propagate import CovarianceSpec, _answer, propagate  # noqa: F401
+from .propagate import CovarianceSpec, _answer, _with_covariance, propagate  # noqa: F401
 from .results import QueryResult
 from .semiring import MAXIMAL_MODELS, PROBABILITY, Labelling, evaluate, model_masks
 
@@ -155,11 +160,16 @@ def _query(
 ) -> QueryResult:
     af = graph.framework
     af._require(argument)
-    circuit, count = _target(af, semantics, argument, mode)
-    forced = {argument: True} if mode == "prob" else {}
     if covariance is not None and not graph.beta_mode:
         raise InputError("covariances require beta labels")
-    moments = _answer(circuit, graph.means, graph.variances, covariance, forced)
+    if mode == "prob-c" and semantics is Semantics.CF:
+        moments, count = _conflict_free_c(graph, argument, covariance)
+        nodes = 0
+    else:
+        circuit, count = _target(af, semantics, argument, mode)
+        forced = {argument: True} if mode == "prob" else {}
+        moments = _answer(circuit, graph.means, graph.variances, covariance, forced)
+        nodes = len(circuit.nodes)
     matched = moment_match(moments)
     return QueryResult(
         mean=moments.mean,
@@ -169,9 +179,29 @@ def _query(
         argument=argument,
         semantics=semantics,
         mode=mode,
-        circuit_nodes=len(circuit.nodes),
+        circuit_nodes=nodes,
         model_count=count,
     )
+
+
+def _conflict_free_c(
+    graph: ProbabilisticGraph, argument: str, covariance: CovarianceSpec | None
+) -> tuple[MomentPair, int]:
+    """CF's ``prob_c`` in closed form, with its model count.
+
+    Every subgraph holding the argument accepts it, unless it attacks
+    itself: the answer is the argument's own label, or 0. As a function of
+    the label probabilities it is p(a), whose only gradient is 1 at a.
+    """
+    af = graph.framework
+    accepted = (argument, argument) not in af.attacks
+    grads = {argument: 1.0} if accepted else {}
+    mean = graph.means(argument, True) if accepted else 0.0
+    variance = graph.variances[argument] if accepted else 0.0
+    if covariance is not None:
+        variance = _with_covariance(variance, grads, graph.variances, covariance, af.arguments)
+    count = 1 << len(af.arguments) - 1 if accepted else 0
+    return MomentPair(mean, variance), count
 
 
 def prob(

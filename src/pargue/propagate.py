@@ -207,20 +207,37 @@ def _answer(
         grads = _backward(circuit, values, forced)
         variance = sum(grads[v] * grads[v] * variances[v] for v in circuit.variables)
         if covariance is not None:
-            unknown = [a for a in covariance.arguments if a not in circuit.variables]
-            if unknown:
-                raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
-            for (a, b), value in sorted(covariance.off_diagonal.items()):
-                bound = math.sqrt(variances[a] * variances[b])
-                if abs(value) > bound + 1e-12:
-                    warnings.warn(
-                        f"covariance ({a},{b})={value} exceeds the Cauchy-Schwarz "
-                        f"bound {bound:.6g}",
-                        stacklevel=3,
-                    )
-                variance += 2.0 * grads[a] * grads[b] * value
+            variance = _with_covariance(variance, grads, variances, covariance, circuit.variables)
         variance = max(variance, 0.0)
     return MomentPair(mean, variance)
+
+
+def _with_covariance(
+    variance: float,
+    grads: Mapping[str, float],
+    variances: Mapping[str, float],
+    covariance: CovarianceSpec,
+    variables: tuple[str, ...],
+) -> float:
+    """``variance`` plus the delta method's cross terms 2 g_a g_b cov(a, b).
+
+    Refuses a covariance over arguments outside ``variables``, and warns on
+    one past the Cauchy-Schwarz bound of the two label variances. A
+    variable missing from ``grads`` has gradient zero.
+    """
+    unknown = [a for a in covariance.arguments if a not in variables]
+    if unknown:
+        raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
+    for (a, b), value in sorted(covariance.off_diagonal.items()):
+        bound = math.sqrt(variances[a] * variances[b])
+        if abs(value) > bound + 1e-12:
+            warnings.warn(
+                f"covariance ({a},{b})={value} exceeds the Cauchy-Schwarz "
+                f"bound {bound:.6g}",
+                stacklevel=4,
+            )
+        variance += 2.0 * grads.get(a, 0.0) * grads.get(b, 0.0) * value
+    return variance
 
 
 def propagate(

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pargue
 from conftest import frameworks, random_beta_labels
@@ -33,7 +33,8 @@ from pargue import (
     prob_c,
     propagate,
 )
-from pargue import engine, formula
+from pargue import engine, formula, subgraph
+from pargue.af import _cone_mask
 from pargue.circuit import validate
 from pargue.encode import _accepted
 from pargue.engine import _compiled
@@ -280,8 +281,9 @@ class TestCompiledCache:
                 warm = query(example_graph, semantics, "d")
                 assert calls == before, (query.__name__, semantics)
                 assert warm == cold
-        # Six theories, plus four constellations: CO and PR share AD's.
-        assert calls == {"compile_formula": 10, "model_count": 10}
+        # Six theories, plus three constellations: CO and PR share AD's, and
+        # CF's has a closed form.
+        assert calls == {"compile_formula": 9, "model_count": 9}
 
     def test_preferred_reuses_the_complete_circuit(self, monkeypatch, example_graph):
         calls = []
@@ -388,8 +390,9 @@ class TestConstellationScan:
             prob_c(graph, Semantics.GR, f"b{i}")
             prob_c(graph, Semantics.GR, f"a{i}")
             pairs += 1
+        # Tables are keyed on the cone's subgraph: {a, b} for b, {a} for a.
         info = scan.cache_info()
-        assert pairs > info.maxsize and info.misses == pairs
+        assert pairs > info.maxsize and info.misses == 2 * pairs
         assert info.currsize <= info.maxsize
 
     def test_cf_encodes_without_a_scan(self, monkeypatch, example_af):
@@ -445,6 +448,95 @@ class TestProjectedConstellation:
                 assert prob_c(graph, semantics, name).mean == pytest.approx(
                     exact.mean, abs=1e-12
                 )
+
+
+class TestRelevanceCone:
+    """AD and GR constellations (and CO's and PR's, which are AD's) are
+    encoded on the argument's relevance cone; CF's prob_c is a closed form."""
+
+    # The beta oracle pairs every two accepting subgraphs; 40 examples keep
+    # this near a second.
+    @settings(max_examples=40)
+    @given(frameworks(max_args=8), st.booleans(), st.randoms(use_true_random=False))
+    def test_prob_c_matches_brute_force(self, af, beta, rng):
+        labels = (
+            random_beta_labels(rng, af) if beta
+            else {name: rng.choice([0.0, 1.0, rng.random()]) for name in af.arguments}
+        )
+        graph = ProbabilisticGraph(af, labels)
+        for semantics in Semantics:
+            for name in af.arguments:
+                assert validate(engine._target(af, semantics, name, "prob-c")[0]).all_passed
+                exact = brute_force_prob_c(graph, semantics, name)
+                got = prob_c(graph, semantics, name)
+                assert got.mean == pytest.approx(getattr(exact, "mean", exact), abs=1e-12)
+                if not beta:
+                    assert got.variance == 0.0
+
+    @given(frameworks(max_args=8))
+    def test_cone_tables_match_the_whole_framework_scan(self, af):
+        for name in af.arguments:
+            cone = subgraph(af, af._members(_cone_mask(af, name)))
+            # Bit j of a cone mask is the whole framework's bit at[j].
+            at = [af.arguments.index(x) for x in cone.arguments]
+            bit = 1 << cone.arguments.index(name)
+            for semantics in (Semantics.AD, Semantics.GR):
+                whole, part = _accepted(af, semantics), _accepted(cone, semantics)
+                for sub, union in enumerate(whole):
+                    inside = sum(1 << j for j, i in enumerate(at) if sub >> i & 1)
+                    want = bool(union >> af.arguments.index(name) & 1)
+                    assert bool(part[inside] & bit) == want, (semantics, name, sub)
+
+    def test_grounded_past_twenty_arguments(self):
+        # x00's cone is the 3-cycle x00 <- x01 <- x02 <- x00; x00 attacks
+        # into a 19-argument chain that stays outside it.
+        names = [f"x{i:02d}" for i in range(22)]
+        attacks = [("x01", "x00"), ("x02", "x01"), ("x00", "x02"), ("x00", "x03")]
+        attacks += list(zip(names[3:], names[4:]))
+        af = ArgumentationFramework(names, attacks)
+        labels = {name: 0.2 + i / 40 for i, name in enumerate(names)}
+        result = prob_c(ProbabilisticGraph(af, labels), Semantics.GR, "x00")
+        cone = subgraph(af, ["x00", "x01", "x02"])
+        alone = ProbabilisticGraph(cone, {name: labels[name] for name in cone.arguments})
+        exact = brute_force_prob_c(alone, Semantics.GR, "x00")
+        assert result.mean == pytest.approx(exact, abs=1e-15)
+        # {x00} and {x00, x02} accept x00, each beside any of the other 19.
+        assert result.model_count == 2 * 2**19
+        # The chain's end has every argument in its cone.
+        with pytest.raises(CapacityError):
+            prob_c(ProbabilisticGraph(af, labels), Semantics.GR, "x21")
+
+    def test_cf_prob_c_builds_no_circuit(self, monkeypatch, example_af, example_labels):
+        calls = []
+        for name in ("encode_constellation", "compile_formula"):
+            real = getattr(engine, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counting)
+        engine._compiled.cache_clear()
+        graph = ProbabilisticGraph(example_af, example_labels)
+        for name, label in example_labels.items():
+            result = prob_c(graph, Semantics.CF, name)
+            assert (result.mean, result.variance) == (label.mean, label.variance)
+            assert (result.model_count, result.circuit_nodes) == (2**3, 0)
+        loop = ArgumentationFramework("ab", [("a", "a"), ("a", "b")])
+        result = prob_c(ProbabilisticGraph(loop, {"a": 0.7, "b": 0.4}), Semantics.CF, "a")
+        assert (result.mean, result.variance, result.model_count) == (0.0, 0.0, 0)
+        assert calls == []
+        # A covariance meets the same checks as on every other route.
+        spec = CovarianceSpec.from_pairs("abcd", {("a", "b"): 0.5})
+        with pytest.warns(UserWarning, match="Cauchy-Schwarz"):
+            widened = prob_c(graph, Semantics.CF, "a", covariance=spec)
+        assert widened.variance == example_labels["a"].variance
+        points = ProbabilisticGraph(example_af, {name: 0.5 for name in "abcd"})
+        with pytest.raises(InputError, match="beta labels"):
+            prob_c(points, Semantics.CF, "a", covariance=spec)
+        # mc_oracle stays an independent route: it compiles CF's constellation.
+        mc_oracle(graph, Semantics.CF, "a", "prob-c", samples=10, seed=0)
+        assert calls == ["encode_constellation", "compile_formula"]
 
 
 class TestFormulaSessions:
@@ -727,12 +819,15 @@ class TestGuards:
             brute_force_prob_c(graph, Semantics.AD, "n0")
 
     def test_constellation_capacity(self):
-        # Only GR's constellation scans every subgraph.
-        names = [f"n{i}" for i in range(21)]
-        af = ArgumentationFramework(names)
-        graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
-        with pytest.raises(CapacityError):
-            prob_c(graph, Semantics.GR, "n0")
+        # Only GR's constellation scans every subgraph, of the argument's
+        # cone: 21 unattacked arguments answer, a 21-cycle is refused.
+        names = [f"n{i:02d}" for i in range(21)]
+        graph = ProbabilisticGraph(ArgumentationFramework(names), {name: 0.5 for name in names})
+        assert prob_c(graph, Semantics.GR, "n00").mean == 0.5
+        cycle = ArgumentationFramework(names, list(zip(names, names[1:] + names[:1])))
+        graph = ProbabilisticGraph(cycle, {name: 0.5 for name in names})
+        with pytest.raises(CapacityError, match="at most 20 arguments, got 21"):
+            prob_c(graph, Semantics.GR, "n00")
 
     def test_compile_capacity(self):
         names = [f"n{i}" for i in range(26)]
@@ -754,8 +849,13 @@ class TestGuards:
         graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
         for semantics in Semantics:
             for query in (prob, prob_c):
+                if (query, semantics) == (prob_c, Semantics.CF):
+                    continue
                 with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
                     query(graph, semantics, "n0000")
+        # CF's prob_c has a closed form with no size limit.
+        result = prob_c(graph, Semantics.CF, "n0000")
+        assert (result.mean, result.model_count, result.circuit_nodes) == (0.5, 2**1199, 0)
         with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
             mc_oracle(graph, Semantics.GR, "n0000", "prob-c", samples=1, seed=0)
         assert calls == []

@@ -287,13 +287,17 @@ class TestConstellationEncoding:
             encode_constellation(example_af, Semantics.AD, "z")
 
     def test_capacity(self):
-        # GR scans every subgraph's fixed point, up to 20 arguments. AD
-        # compiles its existential theory and meets only the 25-variable
-        # compile cap, counted on the argument ids.
+        # GR scans every subgraph's fixed point of the argument's cone, up to
+        # 20 arguments. AD compiles its existential theory and meets only the
+        # 25-variable compile cap, counted on the framework's argument ids.
         names = [f"x{i:02d}" for i in range(21)]
         af = ArgumentationFramework(names, [("x00", "x01"), ("x01", "x00"), ("x02", "x03")])
+        # The cone of x00 is {x00, x01}: only x00 present, or both, accept it.
+        f = encode_constellation(af, Semantics.GR, "x00")
+        assert model_set(f, ["x00", "x01"]) == {("x00",)}
+        chain = ArgumentationFramework(names, list(zip(names[1:], names)))
         with pytest.raises(CapacityError):
-            encode_constellation(af, Semantics.GR, "x00")
+            encode_constellation(chain, Semantics.GR, "x00")
         graph = ProbabilisticGraph(af, {name: 0.25 + i / 100 for i, name in enumerate(names)})
         # x00 defends itself against x01, so every subgraph holding it accepts it.
         result = prob_c(graph, Semantics.AD, "x00")
