@@ -7,18 +7,7 @@ exact probabilities; beta labels additionally carry variance through a
 first-order propagation and render as fuzzy likelihood/confidence words.
 """
 
-from .af import (
-    ArgumentationFramework,
-    Semantics,
-    attacked,
-    attackers,
-    characteristic,
-    credulous,
-    extensions,
-    is_conflict_free,
-    subgraph,
-    subgraph_extensions,
-)
+from .af import ArgumentationFramework, Semantics, attackers, extensions, subgraph
 from .beta import (
     ALEATORY_LABELS,
     DEFAULT_LABEL_CONFIG,
@@ -27,11 +16,9 @@ from .beta import (
     FuzzyLabel,
     LabelConfig,
     MomentPair,
-    complement,
     from_fuzzy,
     moment_match,
     moments,
-    posterior,
     to_fuzzy,
 )
 from .circuit import (
@@ -54,11 +41,11 @@ from .engine import (
     prob,
     prob_c,
 )
-from .errors import CapacityError, InputError, ParseError, PargueError, StructuralError
-from .formula import FALSE, TRUE, Formula, and_, lit, models, not_, or_, restrict, satisfies, var
-from .propagate import CovarianceSpec, eval_mean, gradients, load_covariance_csv, propagate
+from .errors import CapacityError, InputError, ParseError, PargueError
+from .formula import FALSE, TRUE, Formula, and_, lit, models, not_, or_, satisfies, var
+from .propagate import CovarianceSpec, load_covariance_csv, propagate
 from .results import QueryResult
-from .semiring import COUNTING, PROBABILITY, Labelling, Semiring, amc_query, evaluate
+from .semiring import COUNTING, PROBABILITY, Labelling, Semiring, evaluate
 
 __version__ = "0.1.0"
 
@@ -87,30 +74,21 @@ __all__ = [
     "QueryResult",
     "Semantics",
     "Semiring",
-    "StructuralError",
     "TRUE",
     "ValidationReport",
-    "amc_query",
     "and_",
-    "attacked",
     "attackers",
     "brute_force_prob",
     "brute_force_prob_c",
-    "characteristic",
     "compile_formula",
-    "complement",
     "condition",
-    "credulous",
     "encode",
     "encode_constellation",
     "encode_enumerative",
-    "eval_mean",
     "evaluate",
     "extensions",
     "format_nnf",
     "from_fuzzy",
-    "gradients",
-    "is_conflict_free",
     "lit",
     "load_covariance_csv",
     "mc_oracle",
@@ -120,14 +98,11 @@ __all__ = [
     "moments",
     "not_",
     "or_",
-    "posterior",
     "prob",
     "prob_c",
     "propagate",
-    "restrict",
     "satisfies",
     "subgraph",
-    "subgraph_extensions",
     "to_fuzzy",
     "validate",
     "var",

@@ -121,23 +121,6 @@ def attackers(af: ArgumentationFramework, argument: str) -> frozenset[str]:
     return af._members(af._attacker_masks[af._require(argument)])
 
 
-def attacked(af: ArgumentationFramework, group: Iterable[str]) -> frozenset[str]:
-    """Arguments attacked by at least one member of the group."""
-    return af._members(_attacked_by(af, af._full_mask, af._mask(group)))
-
-
-def is_conflict_free(af: ArgumentationFramework, group: Iterable[str]) -> bool:
-    """True when no member of the group attacks another member."""
-    mask = af._mask(group)
-    return _attacked_by(af, mask, mask) == 0
-
-
-def characteristic(af: ArgumentationFramework, group: Iterable[str]) -> frozenset[str]:
-    """Arguments whose every attacker is attacked by the group."""
-    mask = af._mask(group)
-    return af._members(_characteristic_mask(af, af._full_mask, mask))
-
-
 def _attacked_by(af: ArgumentationFramework, universe: int, mask: int) -> int:
     hit = 0
     for i in _bits(mask):
@@ -213,12 +196,6 @@ def extensions(af: ArgumentationFramework, semantics: Semantics) -> tuple[frozen
     return _sorted_sets(af, _all_extension_masks(af, semantics))
 
 
-def credulous(af: ArgumentationFramework, semantics: Semantics, argument: str) -> bool:
-    """True when some extension under the semantics contains the argument."""
-    bit = 1 << af._require(argument)
-    return any(m & bit for m in _all_extension_masks(af, semantics))
-
-
 def _cone_mask(af: ArgumentationFramework, argument: str) -> int:
     """The argument's relevance cone as a mask: the argument and every
     argument with an attack path to it, found by a reverse search."""
@@ -240,10 +217,3 @@ def subgraph(af: ArgumentationFramework, members: Iterable[str]) -> Argumentatio
     return ArgumentationFramework(
         kept, [(s, t) for s, t in af.attacks if s in inside and t in inside]
     )
-
-
-def subgraph_extensions(
-    af: ArgumentationFramework, members: Iterable[str], semantics: Semantics
-) -> tuple[frozenset[str], ...]:
-    """Extensions of the induced subgraph, expressed over the parent's ids."""
-    return _sorted_sets(af, _extension_masks(af, af._mask(members), semantics))

@@ -144,25 +144,8 @@ class FuzzyLabel:
         return f"{self.aleatory}/{self.epistemic}"
 
 
-def posterior(prior: BetaLabel, counts: tuple[float, float]) -> BetaLabel:
-    """Conjugate update: add positive and negative pseudo-counts."""
-    hits, misses = counts
-    if hits < 0 or misses < 0:
-        raise InputError(f"negative pseudo-counts: {counts}")
-    if prior.is_degenerate:
-        raise InputError("cannot update a degenerate label")
-    return BetaLabel(prior.alpha + hits, prior.beta + misses)
-
-
 def moments(label: BetaLabel) -> MomentPair:
     return MomentPair(label.mean, label.variance)
-
-
-def complement(label: BetaLabel) -> BetaLabel:
-    """Distribution of 1 - p: swap the parameters."""
-    if label.is_degenerate:
-        return BetaLabel.from_point(1.0 - label.point)
-    return BetaLabel(label.beta, label.alpha)
 
 
 def moment_match(m: MomentPair) -> BetaLabel:

@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError, InputError, StructuralError
+from .errors import CapacityError, InputError
 from .formula import FALSE, TRUE, And, Formula, Lit, and_, assign
 
 MAX_COMPILE_VARIABLES = 25
@@ -61,7 +61,6 @@ class Circuit:
     nodes: tuple[Node, ...]
     root: int
     variables: tuple[str, ...]
-    smoothed: bool = False
 
     @property
     def edge_count(self) -> int:
@@ -218,7 +217,7 @@ def compile_formula(
         return result
 
     nodes = _reachable(builder.nodes, padded([build(f)], kept, frozenset(declared)))
-    return Circuit(nodes, len(nodes) - 1, declared, smoothed=True)
+    return Circuit(nodes, len(nodes) - 1, declared)
 
 
 def _peel_units(g: Formula) -> tuple[list[Lit], Formula]:
@@ -363,7 +362,9 @@ def validate(circuit: Circuit) -> ValidationReport:
     guards every branch and gap node with its decision literal). A
     disjunction the guards cannot settle is decided exactly by truth tables
     over its own variables, up to 20; past that a capacity error is raised
-    rather than guessing.
+    rather than guessing. Smoothness also needs the root to mention exactly
+    the declared variables, unless it is the false node (a contradicting
+    ``condition`` leaves one), so that counts range over all of them.
     """
     reach = _closure(circuit.nodes, circuit.root)
     sets = _varsets(circuit, reach)
@@ -378,6 +379,10 @@ def validate(circuit: Circuit) -> ValidationReport:
                 bad_smooth = i
             if bad_or is None and not _deterministic(circuit, i, sets[i]):
                 bad_or = i
+    root = circuit.root
+    if bad_smooth is None and circuit.nodes[root].kind != "false":
+        if sets[root] != frozenset(circuit.variables):
+            bad_smooth = root
     return ValidationReport(
         decomposable=bad_and is None,
         deterministic=bad_or is None,
@@ -413,9 +418,11 @@ def _deterministic(circuit: Circuit, index: int, variables: frozenset[str]) -> b
 
 
 def model_count(circuit: Circuit) -> int:
-    """Number of satisfying assignments over the declared variables."""
-    if not circuit.smoothed:
-        raise StructuralError("model counting requires a smoothed circuit")
+    """Number of satisfying assignments over the declared variables.
+
+    Exact on any circuit that ``validate`` passes, as every compiled and
+    conditioned circuit does; on another circuit the count is not checked.
+    """
     from .semiring import COUNTING, Labelling, evaluate
 
     return evaluate(circuit, COUNTING, Labelling.constant(circuit.variables, 1))
@@ -471,7 +478,7 @@ def condition(
         else:
             mapped.append(builder.disj([mapped[c] for c in node.children], decision=node.decision))
     nodes = _reachable(builder.nodes, mapped[circuit.root])
-    return Circuit(nodes, len(nodes) - 1, circuit.variables, circuit.smoothed)
+    return Circuit(nodes, len(nodes) - 1, circuit.variables)
 
 
 def format_nnf(circuit: Circuit) -> str:
@@ -501,10 +508,6 @@ def format_nnf(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_nnf(circuit: Circuit, out: IO[str] | str) -> None:
-    text = format_nnf(circuit)
-    if isinstance(out, str):
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        out.write(text)
+def write_nnf(circuit: Circuit, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(format_nnf(circuit))

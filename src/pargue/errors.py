@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto its exit-code contract: input problems exit 1,
-capacity refusals exit 2.
+capacity refusals exit 2. A circuit's structure is not guarded by an
+exception: ``circuit.validate`` reports on it.
 """
 
 
@@ -24,8 +25,4 @@ class ParseError(InputError):
 
 
 class CapacityError(PargueError):
-    """Instance exceeds the enumeration limits this engine is built for."""
-
-
-class StructuralError(PargueError):
-    """A circuit operation was applied to a circuit lacking the required form."""
+    """Instance exceeds a stated limit: enumeration, compilation or validation width."""

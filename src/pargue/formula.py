@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 _serial = itertools.count()
 
@@ -183,12 +183,6 @@ def assign(f: Formula, name: str, value: bool) -> Formula:
         result = and_(children) if isinstance(f, And) else or_(children)
     _COFACTORS[key] = result
     return result
-
-
-def restrict(f: Formula, assignment: Mapping[str, bool]) -> Formula:
-    for name in sorted(assignment):
-        f = assign(f, name, assignment[name])
-    return f
 
 
 def satisfies(f: Formula, true_vars: Iterable[str]) -> bool:

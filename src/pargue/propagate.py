@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
-from .circuit import Circuit, _normalize_literals
+from .circuit import Circuit
 from .errors import InputError
 from .results import QueryResult
 from .semiring import PROBABILITY, Labelling, _walk
@@ -71,10 +71,6 @@ class CovarianceSpec:
                 raise InputError(f"conflicting covariance entries for {key}")
             entries[key] = value
         return cls(names, entries)
-
-    def get(self, a: str, b: str) -> float:
-        key = (a, b) if a < b else (b, a)
-        return self.off_diagonal.get(key, 0.0)
 
 
 def load_covariance_csv(text: str) -> CovarianceSpec:
@@ -176,18 +172,6 @@ def _backward(
     return grads
 
 
-def eval_mean(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> float:
-    """Exact query mean: probability-semiring value at the label means."""
-    value = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)[circuit.root]
-    return min(max(value, 0.0), 1.0)
-
-
-def gradients(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> dict[str, float]:
-    """Partial derivatives of the circuit value at the label means."""
-    values = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)
-    return _backward(circuit, values, {})
-
-
 def _answer(
     circuit: Circuit,
     means: Labelling,
@@ -245,17 +229,11 @@ def propagate(
     labels: Mapping[str, BetaLabel],
     covariance: CovarianceSpec | None = None,
     config: LabelConfig | None = None,
-    forced: Mapping[str, bool] | Iterable[tuple[str, bool]] = (),
 ) -> QueryResult:
-    """Delta-method moments for the circuit under beta labels.
-
-    ``forced`` conditions on query literals through the labels; the moments
-    equal those of ``condition(circuit, forced)`` up to float rounding.
-    """
+    """Delta-method moments for the circuit under beta labels."""
     means = _means(circuit, labels)
-    forced = _normalize_literals(forced, circuit.variables)
     variances = {v: labels[v].variance for v in circuit.variables}
-    moments = _answer(circuit, means, variances, covariance, forced)
+    moments = _answer(circuit, means, variances, covariance, {})
     matched = moment_match(moments)
     return QueryResult(
         mean=moments.mean,

@@ -14,8 +14,10 @@ class QueryResult:
 
     ``matched`` is the moment-matched beta label (degenerate when the
     variance vanishes). The engine's queries set the identity and diagnostic
-    fields when they build the result; ``propagate`` knows only the circuit
-    and sets ``circuit_nodes`` alone.
+    fields: ``model_count`` counts the target circuit, exact since every
+    compiled circuit passes ``validate``, or is CF's closed-form ``prob_c``
+    count, with ``circuit_nodes`` 0. ``propagate`` knows only the circuit and
+    sets ``circuit_nodes`` alone.
     """
 
     mean: float

@@ -6,7 +6,9 @@ addition and conjunctions through its multiplication computes the algebraic
 model count. The probability and counting instances are provided. A query
 conditions the same compiled circuit through the labelling: each literal
 that contradicts the query is labelled with the semiring zero, so no node is
-rebuilt.
+rebuilt. On a deterministic decomposable circuit the value equals that of
+``condition(circuit, query)``, since dropping a zero disjunct and collapsing
+a conjunction with a zero factor are semiring identities.
 
 ``_walk`` is the package's one forward pass over circuit nodes. Besides
 ``evaluate`` it serves the moment propagation (probability semiring at the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Callable, Iterable, Mapping
 
-from .circuit import Circuit, _normalize_literals
+from .circuit import Circuit
 from .errors import InputError
 
 
@@ -165,18 +167,3 @@ def model_masks(circuit: Circuit, semiring: Semiring = MODELS) -> tuple[int, ...
         table[name, False] = (0,)
     return _walk(circuit, semiring, table)[circuit.root]
 
-
-def amc_query(
-    circuit: Circuit,
-    query: Mapping[str, bool] | Iterable[tuple[str, bool]],
-    semiring: Semiring,
-    labelling: Labelling,
-) -> Any:
-    """Evaluate with the query literals forced true (their negations zeroed).
-
-    On a deterministic decomposable circuit this equals evaluating
-    ``condition(circuit, query)``, because dropping a zero disjunct and
-    collapsing a conjunction with a zero factor are semiring identities.
-    """
-    forced = _normalize_literals(query, circuit.variables)
-    return evaluate(circuit, semiring, labelling.conditioned(forced, semiring.zero))

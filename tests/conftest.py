@@ -83,3 +83,13 @@ def random_beta_labels(
         name: BetaLabel(rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0))
         for name in af.arguments
     }
+
+
+def backward_gradients(circuit, labels: dict[str, BetaLabel]) -> dict[str, float]:
+    """Partial derivatives of the circuit value at the label means: the
+    engine's backward sweep over its forward walk, with no literal forced."""
+    from pargue.propagate import _backward, _means
+    from pargue.semiring import PROBABILITY, _walk
+
+    values = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)
+    return _backward(circuit, values, {})

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import ACCEPTANCE_LINES, random_beta_labels, random_framework
+from conftest import ACCEPTANCE_LINES, backward_gradients, random_beta_labels, random_framework
 from pargue import (
     ArgumentationFramework,
     BetaLabel,
@@ -23,16 +23,15 @@ from pargue import (
     compile_formula,
     condition,
     encode,
-    eval_mean,
     extensions,
     from_fuzzy,
-    gradients,
     mc_oracle,
     model_count,
     moment_match,
     moments,
     prob,
     prob_c,
+    propagate,
     to_fuzzy,
     validate,
 )
@@ -236,7 +235,7 @@ def test_criterion_8_moment_propagation_accuracy(graph):
             labels = random_beta_labels(rng, af)
             theory = _compiled(af, Semantics.AD, None)[0]
             circuit = condition(theory, {af.arguments[0]: True})
-            grads = gradients(circuit, labels)
+            grads = backward_gradients(circuit, labels)
             step = 1e-5
             for name in af.arguments:
                 up = dict(labels)
@@ -247,9 +246,9 @@ def test_criterion_8_moment_propagation_accuracy(graph):
                 down[name] = BetaLabel.from_point(
                     max(labels[name].mean - step, 0.0)
                 )
-                numeric = (eval_mean(circuit, up) - eval_mean(circuit, down)) / (
-                    2.0 * step
-                )
+                numeric = (
+                    propagate(circuit, up).mean - propagate(circuit, down).mean
+                ) / (2.0 * step)
                 assert grads[name] == pytest.approx(numeric, abs=1e-6)
 
         # delta variance within 25% of the exact mixture variance

@@ -9,16 +9,14 @@ from pargue import (
     ArgumentationFramework,
     CapacityError,
     InputError,
+    ProbabilisticGraph,
     Semantics,
-    attacked,
     attackers,
-    characteristic,
-    credulous,
     extensions,
-    is_conflict_free,
+    prob_c,
     subgraph,
-    subgraph_extensions,
 )
+from pargue.af import _attacked_by, _characteristic_mask, _extension_masks
 
 from conftest import frameworks
 
@@ -61,30 +59,41 @@ class TestOperations:
         assert attackers(example_af, "d") == {"c"}
 
     def test_attacked(self, example_af):
-        assert attacked(example_af, {"a", "b"}) == {"c"}
-        assert attacked(example_af, {"c"}) == {"d"}
-        assert attacked(example_af, set()) == frozenset()
+        full, mask = example_af._full_mask, example_af._mask
+        assert _attacked_by(example_af, full, mask({"a", "b"})) == mask({"c"})
+        assert _attacked_by(example_af, full, mask({"c"})) == mask({"d"})
+        assert _attacked_by(example_af, full, 0) == 0
+        # Inside a universe, attacks on arguments outside it are dropped.
+        assert _attacked_by(example_af, mask({"a", "b", "d"}), mask({"c"})) == mask({"d"})
+        assert _attacked_by(example_af, mask({"a", "b"}), mask({"c"})) == 0
 
     def test_unknown_argument_rejected(self, example_af):
         with pytest.raises(InputError):
             attackers(example_af, "z")
         with pytest.raises(InputError):
-            attacked(example_af, {"a", "z"})
+            subgraph(example_af, {"a", "z"})
 
     def test_conflict_free(self, example_af):
-        assert is_conflict_free(example_af, {"a", "b", "d"})
-        assert not is_conflict_free(example_af, {"a", "c"})
-        assert not is_conflict_free(example_af, {"c", "d"})
-        assert is_conflict_free(example_af, set())
+        def conflict_free(group):
+            mask = example_af._mask(group)
+            return _attacked_by(example_af, example_af._full_mask, mask) & mask == 0
+
+        assert conflict_free({"a", "b", "d"})
+        assert not conflict_free({"a", "c"})
+        assert not conflict_free({"c", "d"})
+        assert conflict_free(set())
 
     def test_self_attack_not_conflict_free(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
-        assert not is_conflict_free(af, {"a"})
+        assert _attacked_by(af, af._full_mask, 0b1) & 0b1
+        assert sets(extensions(af, Semantics.CF)) == {()}
 
     def test_characteristic(self, example_af):
-        assert characteristic(example_af, set()) == {"a", "b"}
-        assert characteristic(example_af, {"a"}) == {"a", "b", "d"}
-        assert characteristic(example_af, {"a", "b", "d"}) == {"a", "b", "d"}
+        full, mask = example_af._full_mask, example_af._mask
+        assert _characteristic_mask(example_af, full, 0) == mask({"a", "b"})
+        assert _characteristic_mask(example_af, full, mask({"a"})) == mask({"a", "b", "d"})
+        abd = mask({"a", "b", "d"})
+        assert _characteristic_mask(example_af, full, abd) == abd
 
 
 class TestExtensions:
@@ -134,9 +143,6 @@ class TestExtensions:
         af = ArgumentationFramework([f"x{i}" for i in range(26)])
         with pytest.raises(CapacityError):
             extensions(af, Semantics.CF)
-        with pytest.raises(CapacityError):
-            credulous(af, Semantics.CF, "x0")
-
 
     def test_extension_scan_is_not_cached(self):
         # A per-subgraph cache outlived every query; the bounded tables of
@@ -148,12 +154,14 @@ class TestExtensions:
 
 class TestCredulous:
     def test_worked_example(self, example_af):
-        assert credulous(example_af, Semantics.AD, "d")
-        assert not credulous(example_af, Semantics.AD, "c")
+        admissible = extensions(example_af, Semantics.AD)
+        assert any("d" in e for e in admissible)
+        assert not any("c" in e for e in admissible)
 
     def test_chain(self, chain_af):
-        assert credulous(chain_af, Semantics.GR, "c")
-        assert not credulous(chain_af, Semantics.GR, "b")
+        grounded = extensions(chain_af, Semantics.GR)
+        assert any("c" in e for e in grounded)
+        assert not any("b" in e for e in grounded)
 
 
 class TestSubgraphs:
@@ -164,18 +172,22 @@ class TestSubgraphs:
 
     def test_subgraph_extensions_match_standalone(self, example_af):
         members = {"b", "c", "d"}
-        via_masks = sets(subgraph_extensions(example_af, members, Semantics.AD))
+        masks = _extension_masks(example_af, example_af._mask(members), Semantics.AD)
+        via_masks = sets(example_af._members(m) for m in masks)
         standalone = sets(extensions(subgraph(example_af, members), Semantics.AD))
         assert via_masks == standalone
 
     @given(frameworks(max_args=5))
     def test_subgraph_extensions_agree_everywhere(self, af):
+        # The scan inside a universe mask, which the constellation tables
+        # run, against the extensions of the induced framework.
         names = list(af.arguments)
         for mask in range(1 << len(names)):
             members = {names[i] for i in range(len(names)) if mask >> i & 1}
             induced = subgraph(af, members)
             for semantics in ALL_SEMANTICS:
-                assert sets(subgraph_extensions(af, members, semantics)) == sets(
+                masks = _extension_masks(af, mask, semantics)
+                assert sets(af._members(m) for m in masks) == sets(
                     extensions(induced, semantics)
                 )
 
@@ -205,8 +217,10 @@ class TestInvariants:
 
     @given(frameworks())
     def test_complete_iff_conflict_free_fixed_point(self, af):
+        # CO is the conflict-free fixed points of the characteristic function F.
         for e in extensions(af, Semantics.CF):
-            is_complete = characteristic(af, e) == e
+            mask = af._mask(e)
+            is_complete = _characteristic_mask(af, af._full_mask, mask) == mask
             assert is_complete == (e in extensions(af, Semantics.CO))
 
     @given(frameworks())
@@ -215,17 +229,18 @@ class TestInvariants:
         expected = {
             e
             for e in extensions(af, Semantics.CF)
-            if e <= characteristic(af, e)
+            if af._mask(e) & ~_characteristic_mask(af, af._full_mask, af._mask(e)) == 0
         }
         assert set(extensions(af, Semantics.AD)) == expected
 
     @given(frameworks())
     def test_stable_definition(self, af):
-        everything = set(af.arguments)
+        # ST is the conflict-free sets that attack every argument outside them.
+        full = af._full_mask
         expected = {
             e
             for e in extensions(af, Semantics.CF)
-            if set(e) | set(attacked(af, e)) == everything
+            if af._mask(e) | _attacked_by(af, full, af._mask(e)) == full
         }
         assert set(extensions(af, Semantics.ST)) == expected
 
@@ -237,9 +252,12 @@ class TestInvariants:
 
     @given(frameworks())
     def test_credulous_matches_extension_scan(self, af):
+        # With every argument present for sure, prob_c is 1 exactly when the
+        # whole framework credulously accepts the argument: the cone, closed
+        # form and constellation routes against the extension scan.
+        graph = ProbabilisticGraph(af, dict.fromkeys(af.arguments, 1.0))
         for semantics in ALL_SEMANTICS:
             exts = extensions(af, semantics)
             for name in af.arguments:
-                assert credulous(af, semantics, name) == any(
-                    name in e for e in exts
-                )
+                accepted = any(name in e for e in exts)
+                assert prob_c(graph, semantics, name).mean == float(accepted)

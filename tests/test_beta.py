@@ -1,4 +1,4 @@
-"""Beta labels: moments, conjugate updates, moment matching, fuzzy rendering."""
+"""Beta labels: moments, moment matching, fuzzy rendering."""
 
 import json
 import math
@@ -15,11 +15,9 @@ from pargue import (
     InputError,
     LabelConfig,
     MomentPair,
-    complement,
     from_fuzzy,
     moment_match,
     moments,
-    posterior,
     to_fuzzy,
 )
 from pargue.beta import DEFAULT_LABEL_CONFIG, MIN_STRENGTH, VARIANCE_HEADROOM
@@ -85,45 +83,6 @@ class TestBetaLabel:
         assert label.mean == pytest.approx(mean, abs=1e-9)
         assert label.second_moment == pytest.approx(second, abs=1e-9)
         assert label.variance == pytest.approx(second - mean * mean, abs=1e-9)
-
-
-class TestPosterior:
-    def test_integer_counts(self):
-        assert posterior(BetaLabel(1.0, 1.0), (3, 1)) == BetaLabel(4.0, 2.0)
-
-    def test_fractional_counts(self):
-        updated = posterior(BetaLabel(2.5, 4.0), (0.5, 0.0))
-        assert updated == BetaLabel(3.0, 4.0)
-
-    def test_update_shifts_mean_toward_evidence(self):
-        prior = BetaLabel(2.0, 2.0)
-        assert posterior(prior, (10, 0)).mean > prior.mean
-        assert posterior(prior, (0, 10)).mean < prior.mean
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(InputError):
-            posterior(BetaLabel(1.0, 1.0), (-1, 0))
-
-    def test_degenerate_prior_rejected(self):
-        with pytest.raises(InputError):
-            posterior(BetaLabel.from_point(0.0), (1, 1))
-
-
-class TestComplement:
-    def test_swaps_parameters(self):
-        assert complement(BetaLabel(5.0, 1.5)) == BetaLabel(1.5, 5.0)
-
-    def test_involution_and_moment_relations(self):
-        label = BetaLabel(17.0, 2.0)
-        comp = complement(label)
-        assert complement(comp) == label
-        assert comp.mean == pytest.approx(1.0 - label.mean, abs=1e-12)
-        assert comp.variance == pytest.approx(label.variance, abs=1e-12)
-        assert comp.strength == label.strength
-
-    def test_degenerate_mirrors_point(self):
-        assert complement(BetaLabel.from_point(0.0)) == BetaLabel.from_point(1.0)
-        assert complement(BetaLabel.from_point(0.3)) == BetaLabel.from_point(0.7)
 
 
 class TestMomentMatch:

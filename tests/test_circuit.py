@@ -27,7 +27,6 @@ from pargue import (
     Labelling,
     Node,
     Semantics,
-    StructuralError,
     and_,
     compile_formula,
     condition,
@@ -307,10 +306,17 @@ class TestSmoothing:
         with pytest.raises(InputError):
             compile_formula(encode(example_af, Semantics.AD), variables=["a", "b"])
 
-    def test_unsmoothed_count_refused(self):
-        raw = Circuit((Node("lit", var="a"),), 0, ("a", "b"), smoothed=False)
-        with pytest.raises(StructuralError):
-            model_count(raw)
+    def test_root_missing_a_declared_variable_fails_validate(self):
+        # The root mentions a alone, so its count over {a, b} would read 1, not 2.
+        raw = Circuit((Node("lit", var="a"),), 0, ("a", "b"))
+        report = validate(raw)
+        assert not report.smooth and report.first_unsmooth == 0
+        assert report.decomposable and report.deterministic
+        # A false root, as a contradicting condition leaves, mentions nothing
+        # and counts 0 over any variables.
+        assert validate(Circuit((Node("false"),), 0, ("a", "b"))).smooth
+        blocked = condition(compile_formula(var("a"), variables=("a", "b")), {"a": False})
+        assert validate(blocked).smooth and model_count(blocked) == 0
 
 
 class TestValidate:

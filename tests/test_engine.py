@@ -1,7 +1,7 @@
 """End-to-end acceptance queries and their independent oracles."""
 
-import ast
 import importlib
+import importlib.util
 import math
 import os
 import random
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pargue
-from conftest import frameworks, random_beta_labels
+from conftest import backward_gradients, frameworks, random_beta_labels
 from pargue import (
     ArgumentationFramework,
     BetaLabel,
@@ -26,7 +26,6 @@ from pargue import (
     brute_force_prob,
     brute_force_prob_c,
     condition,
-    gradients,
     mc_oracle,
     model_count,
     prob,
@@ -220,7 +219,7 @@ class TestOneAnswerPath:
         with pytest.warns(UserWarning, match="Cauchy-Schwarz"):
             result = prob(graph, Semantics.AD, "d", covariance=spec)
         rebuilt = condition(_compiled(example_af, Semantics.AD, None)[0], {"d": True})
-        grads = gradients(rebuilt, labels)
+        grads = backward_gradients(rebuilt, labels)
         assert grads["a"] > 0.0 and grads["b"] > 0.0
         assert result.variance == pytest.approx(2.0 * grads["a"] * grads["b"] * 0.01, abs=1e-15)
         assert prob(graph, Semantics.AD, "d").variance == 0.0
@@ -609,21 +608,31 @@ def test_import_skips_numpy():
     )
 
 
-def test_benchmark_wrapped_names_resolve():
+def test_benchmark_wrapped_names_resolve(monkeypatch):
     # benchmark/spans.py wraps these (module, attribute) pairs at run time;
-    # a renamed function would silently drop a layer from the traces.
-    spans = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
-    tree = ast.parse(spans.read_text(encoding="utf-8"))
-    wrapped = next(
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED"
-    )
-    pairs = ast.literal_eval(wrapped)
-    assert pairs
-    for module_name, attribute in pairs:
+    # a renamed function would silently drop a layer from the traces. The
+    # module is loaded by path, writing no bytecode next to it.
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    assert spans.WRAPPED
+    for module_name, attribute in spans.WRAPPED:
         module = importlib.import_module(f"pargue.{module_name}")
         assert callable(getattr(module, attribute, None)), (module_name, attribute)
+
+
+def test_public_names_are_consistent():
+    # A name deleted from its module but left in __all__ fails here.
+    names = pargue.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(pargue, name), name
+    namespace = {}
+    exec("from pargue import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 class TestProbCWorkedExample:

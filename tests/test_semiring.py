@@ -14,9 +14,9 @@ from pargue import (
     Labelling,
     Node,
     Semantics,
-    amc_query,
     and_,
     compile_formula,
+    condition,
     encode,
     evaluate,
     models,
@@ -110,19 +110,34 @@ class TestEvaluate:
             Node(n.kind, n.var, n.positive, tuple(reversed(n.children)), n.decision)
             for n in c.nodes
         )
-        flipped = Circuit(reversed_nodes, c.root, c.variables, c.smoothed)
+        flipped = Circuit(reversed_nodes, c.root, c.variables)
         labelling = Labelling.from_point_probabilities(REFERENCE_MEANS)
         assert evaluate(c, PROBABILITY, labelling) == pytest.approx(
             evaluate(flipped, PROBABILITY, labelling), abs=1e-12
         )
 
 
+def _conditioned_value(circuit, forced, semiring, labelling):
+    """Query value through the labelling, as the engine conditions, checked
+    against evaluating the circuit that ``condition`` rebuilds."""
+    got = evaluate(circuit, semiring, labelling.conditioned(forced, semiring.zero))
+    rebuilt = evaluate(condition(circuit, forced), semiring, labelling)
+    if semiring is COUNTING:
+        assert got == rebuilt
+    else:
+        assert got == pytest.approx(rebuilt, abs=1e-12)
+    return got
+
+
 class TestAmcQuery:
+    """Algebraic model counting queries: the query's contradicting literals
+    labelled with the semiring zero."""
+
     def test_reference_query_on_d(self, example_af):
         # oracle: the three admissible-theory models containing d, weighted
         c = _example_circuit(example_af)
         labelling = Labelling.from_point_probabilities(REFERENCE_MEANS)
-        got = amc_query(c, {"d": True}, PROBABILITY, labelling)
+        got = _conditioned_value(c, {"d": True}, PROBABILITY, labelling)
         oracle = 0.0
         for m in models(encode(example_af, Semantics.AD), NAMES):
             if "d" not in m:
@@ -137,18 +152,18 @@ class TestAmcQuery:
     def test_contradicted_query_is_zero(self, example_af):
         c = _example_circuit(example_af)
         labelling = Labelling.from_point_probabilities(REFERENCE_MEANS)
-        assert amc_query(c, {"c": True}, PROBABILITY, labelling) == 0.0
+        assert _conditioned_value(c, {"c": True}, PROBABILITY, labelling) == 0.0
 
     def test_empty_query_is_plain_evaluation(self, example_af):
         c = _example_circuit(example_af)
         labelling = Labelling.from_point_probabilities(REFERENCE_MEANS)
-        assert amc_query(c, {}, PROBABILITY, labelling) == evaluate(
+        assert _conditioned_value(c, {}, PROBABILITY, labelling) == evaluate(
             c, PROBABILITY, labelling
         )
 
     def test_counting_query(self, example_af):
         c = _example_circuit(example_af)
-        assert amc_query(c, {"d": True}, COUNTING, Labelling.constant(NAMES, 1)) == 3
+        assert _conditioned_value(c, {"d": True}, COUNTING, Labelling.constant(NAMES, 1)) == 3
 
     @given(frameworks(max_args=5))
     def test_neutral_fresh_variable(self, af):
@@ -169,8 +184,8 @@ class TestAmcQuery:
             }
         )
         for name in af.arguments:
-            assert amc_query(base, {name: True}, PROBABILITY, labelling) == pytest.approx(
-                amc_query(extended, {name: True}, PROBABILITY, wide), abs=1e-12
+            assert _conditioned_value(base, {name: True}, PROBABILITY, labelling) == pytest.approx(
+                _conditioned_value(extended, {name: True}, PROBABILITY, wide), abs=1e-12
             )
 
 
@@ -190,5 +205,5 @@ class TestModelEnumeration:
     def test_maximal_union_keeps_a_shared_model(self):
         # a | a is not deterministic: both disjuncts hold the model {a}
         nodes = (Node("lit", var="a"), Node("lit", var="a"), Node("or", children=(0, 1)))
-        c = Circuit(nodes, 2, ("a",), smoothed=True)
+        c = Circuit(nodes, 2, ("a",))
         assert model_masks(c, MAXIMAL_MODELS) == (0b1,)
