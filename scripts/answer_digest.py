@@ -6,7 +6,8 @@ seeds 1-3 is answered in this one process, in corpus order. Each answer is
 one line: ``float.hex`` of its mean and variance, its circuit node count and
 its model count. The digest is the sha256 of those lines, so two checkouts
 print the same digest exactly when their answers are bit-identical and their
-circuits the same size.
+circuits the same size. Every distinct circuit the corpora compile is also
+checked with ``validate``, and any that fails makes the script exit 1.
 
 ``--write FILE`` saves the lines; ``--compare FILE`` reads lines saved by an
 earlier checkout and prints the largest change in mean and in variance, the
@@ -31,7 +32,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 import corpus  # noqa: E402
-from pargue import ProbabilisticGraph, Semantics, cli, prob, prob_c  # noqa: E402
+from pargue import ProbabilisticGraph, Semantics, cli, engine, prob, prob_c, validate  # noqa: E402
 
 WORKLOADS = ("warm-table", "prob-c")
 SEEDS = (1, 2, 3)
@@ -49,6 +50,29 @@ def answers(spec: dict):
     for op in spec["ops"]:
         graph = graphs[op["framework"]][op["labels"]]
         yield run[op["mode"]](graph, Semantics(op["semantics"]), op["argument"])
+
+
+def recording(compiled: dict):
+    """``engine.compile_formula``, keeping each circuit it returns in ``compiled``."""
+    compile_formula = engine.compile_formula
+
+    def wrapper(*args, **kwargs):
+        circuit = compile_formula(*args, **kwargs)
+        compiled[circuit] = None
+        return circuit
+
+    return wrapper
+
+
+def invalid(compiled) -> int:
+    """Print and count the circuits that fail one of ``validate``'s checks."""
+    failed = 0
+    for circuit in compiled:
+        report = validate(circuit)
+        if not (report.decomposable and report.deterministic and report.smooth):
+            failed += 1
+            print(f"invalid circuit over {', '.join(circuit.variables)}: {report}")
+    return failed
 
 
 def _fields(line: str) -> tuple[float, float, int, int]:
@@ -85,6 +109,8 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="FILE", help="compare with the lines saved in FILE")
     args = parser.parse_args(argv)
     lines = []
+    compiled: dict = {}
+    engine.compile_formula = recording(compiled)
     start = time.perf_counter()
     for workload in WORKLOADS:
         for seed in SEEDS:
@@ -98,12 +124,14 @@ def main(argv=None) -> int:
     print(f"answers: {len(lines)} ({', '.join(WORKLOADS)}; seeds {', '.join(map(str, SEEDS))}) "
           f"in {elapsed:.1f}s")
     print(f"digest:  {hashlib.sha256(text.encode()).hexdigest()}")
+    failed = invalid(compiled)
+    print(f"circuits validated: {len(compiled)} distinct, {failed} failing")
     if args.write:
         Path(args.write).write_text(text, encoding="utf-8")
     if args.compare:
         before = Path(args.compare).read_text(encoding="utf-8").splitlines()
-        return compare(before, text.splitlines())
-    return 0
+        return max(compare(before, text.splitlines()), 1 if failed else 0)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

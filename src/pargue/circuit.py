@@ -1,26 +1,29 @@
 """Compilation of formulas into smooth deterministic decomposable circuits.
 
-The compiler is a component-caching search in the manner of decision-DNNF
-compilers (Darwiche, ECAI 2004; Lagniez & Marquis, IJCAI 2017). It peels
-unit literals; it splits a conjunction whose children fall into groups that
-share no variable and compiles each group apart, which makes a decomposable
-conjunction; otherwise it runs Shannon expansion on the variable that occurs
-in the most of the residual's top-level children, the least name on ties. A
-cache keyed on the simplified subformula, components included, turns shared
-subproblems into shared circuit nodes. Disjunctions always branch on a
-decision variable, which gives determinism by construction; decomposability
-falls out of conditioning and splitting; smoothness comes from padding,
-during the same search, each branch with (v or not v) gap nodes for the
-variables that simplification dropped.
+A formula already in decision form, where every disjunction decides a
+variable and every conjunction is decomposable, is translated node for node:
+``encode_enumerative`` builds that form. Any other formula is converted once
+into clauses held as integer bit masks, and compiled by a component-caching
+search over them in the manner of sharpSAT (Thurley, SAT 2006) and of
+decision-DNNF compilers (Darwiche, ECAI 2004; Lagniez & Marquis, IJCAI
+2017). After each decision it assigns unit literals, splits the residual
+clauses into components that share no variable, and decides, in each, the
+kept variable in the most residual clauses, the least name on ties. A cache
+keyed on each component's clauses and variables turns shared subproblems
+into shared circuit nodes. Disjunctions always branch on a decision
+variable, which gives determinism by construction; decomposability falls out
+of conditioning and splitting; smoothness comes from padding, during the
+same search, each branch with (v or not v) gap nodes for the variables that
+simplification dropped.
 
 Variables named to be eliminated are projected away existentially, in the
 manner of projected model counting (Lagniez & Marquis, AAAI 2019), within
-the same search: kept variables are decided first, an eliminated unit
-literal is assigned without being emitted, components are split on all
-variables, eliminated ones included, and a residual that mentions no kept
-variable decides its most shared eliminated variable, true first, trying
-false only when true fails, so it becomes the true or the false node. Only
-kept variables make disjunctions, so the circuit stays deterministic.
+the same search: kept variables are decided first; eliminated variables are
+assigned, not emitted, when a clause makes them unit or they occur with one
+polarity only; components are split on all variables, eliminated ones
+included; and a component that mentions no kept variable becomes the true
+or the false node by a satisfiability check. Only kept variables make
+disjunctions, so the circuit stays deterministic.
 
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
@@ -31,10 +34,10 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, InputError
-from .formula import FALSE, TRUE, And, Formula, Lit, and_, assign
+from .formula import FALSE, TRUE, And, Formula, Lit, Or
 
 MAX_COMPILE_VARIABLES = 25
 # Determinism validation builds a disjunction's truth table up to this width.
@@ -144,9 +147,19 @@ def compile_formula(
     full set. ``eliminate`` names variables to project away: the circuit's
     models are the assignments to the declared variables that extend to a
     model of ``f``. At most ``MAX_COMPILE_VARIABLES`` declared variables, and
-    as many eliminated ones, are compiled. The search recurses at most two
-    frames per variable it decides or assigns, one more at the bottom: a
-    frame that splits a conjunction is followed by one that decides.
+    as many eliminated ones, are compiled; auxiliaries are not counted.
+
+    A formula in decision form, with no eliminated variable, is translated
+    node for node. Any other is converted once into clauses: a disjunction
+    distributes over its one conjunction child, and every other conjunction
+    child of a disjunction gets an eliminated auxiliary ``t`` with the
+    clauses of ``t -> child``. The search then caches each component on its
+    (clause-id mask, variable mask) pair: every live clause of a component
+    is the original clause cut down to the component's variables, so the
+    pair names the residual. Eliminated variables are assigned by
+    propagation or settled by an iterative satisfiability check, never in a
+    frame of their own, so the search recurses at most two frames per
+    decided kept variable, plus one.
     """
     hidden = frozenset(eliminate)
     kept = f.vars - hidden
@@ -157,109 +170,271 @@ def compile_formula(
     both = hidden.intersection(declared)
     if both:
         raise InputError(f"variables both kept and eliminated: {sorted(both)}")
-    _require_width(len(declared), len(f.vars & hidden))
+    eliminated = sorted(f.vars & hidden)
+    _require_width(len(declared), len(eliminated))
 
     builder = _Builder()
-    seen: dict[Formula, int] = {}
-
-    def scope(g: Formula) -> frozenset[str]:
-        return g.vars - hidden if hidden else g.vars
-
-    def padded(parts: list[int], covered: Iterable[str], span: frozenset[str]) -> int:
-        # Conjoin a (v or not v) gap node for each variable of ``span`` that
-        # simplification dropped, so the result mentions exactly ``span``.
-        for v in sorted(span.difference(covered)):
-            parts.append(
-                builder.disj([builder.literal(v, True), builder.literal(v, False)], decision=v)
-            )
-        return builder.conj(parts)
-
-    def build(g: Formula) -> int:
-        # The node mentions exactly scope(g), or is the false node.
-        if g is TRUE:
-            return builder.true()
-        if g is FALSE:
-            return builder.false()
-        cached = seen.get(g)
-        if cached is not None:
-            return cached
-        span = scope(g)
-        if isinstance(g, Lit):
-            # An eliminated literal is satisfiable, so it projects to true.
-            result = builder.literal(g.var, g.positive) if span else builder.true()
-        else:
-            units, rest = _peel_units(g)
-            if units:
-                # An eliminated literal is assigned but not emitted.
-                shown = [u for u in units if u.var not in hidden]
-                parts = [builder.literal(u.var, u.positive) for u in shown]
-                parts.append(build(rest))
-                result = padded(parts, scope(rest).union(u.var for u in shown), span)
-            elif isinstance(g, And) and len(groups := _components(g.children)) > 1:
-                # Conjuncts sharing no variable, eliminated ones included,
-                # compile apart; the parts together mention exactly span.
-                result = builder.conj([build(and_(group)) for group in groups])
-            elif not span:
-                # Projection: the most shared eliminated variable true, else false.
-                v = _most_shared(g.children, g.vars)
-                result = build(assign(g, v, True))
-                if builder.nodes[result].kind == "false":
-                    result = build(assign(g, v, False))
-            else:
-                v = _most_shared(g.children, span)
-                branches = []
-                for value in (True, False):
-                    sub = assign(g, v, value)
-                    parts = [builder.literal(v, value), build(sub)]
-                    branches.append(padded(parts, scope(sub) | {v}, span))
-                result = builder.disj(branches, decision=v)
-        seen[g] = result
-        return result
-
-    nodes = _reachable(builder.nodes, padded([build(f)], kept, frozenset(declared)))
+    root = None if eliminated else _translate(builder, f)
+    if root is None:
+        bit = {name: i for i, name in enumerate((*declared, *eliminated))}
+        clauses = _clauses(f, bit)  # adds the auxiliaries to bit
+        root = _search(builder, clauses, len(bit), declared)
+    else:
+        root = builder.conj([root, *_gaps(builder, sorted(set(declared) - f.vars))])
+    nodes = _reachable(builder.nodes, root)
     return Circuit(nodes, len(nodes) - 1, declared)
 
 
-def _peel_units(g: Formula) -> tuple[list[Lit], Formula]:
-    """Unit propagation: a conjunction's literal children, and the rest of
-    it conditioned on them."""
-    if not isinstance(g, And):
-        return [], g
-    units = [c for c in g.children if isinstance(c, Lit)]
-    if not units:
-        return units, g
-    rest = and_(c for c in g.children if not isinstance(c, Lit))
-    for u in units:
-        rest = assign(rest, u.var, u.positive)
-    return units, rest
+def _gaps(builder: _Builder, names: Iterable[str]) -> list[int]:
+    """A (v or not v) gap node per name, so a node mentions a variable that
+    simplification dropped."""
+    return [
+        builder.disj([builder.literal(v, True), builder.literal(v, False)], decision=v)
+        for v in names
+    ]
 
 
-def _components(children: Sequence[Formula]) -> list[list[Formula]]:
-    """``children`` grouped into the connected components of shared variables,
-    each group and the groups in child order."""
-    groups: list[tuple[set[str], list[int]]] = []
-    for i, c in enumerate(children):
-        joined, members, apart = set(c.vars), [i], []
-        for group in groups:
-            if joined.isdisjoint(group[0]):
-                apart.append(group)
+def _translate(builder: _Builder, f: Formula) -> int | None:
+    """The node of ``f`` if it is in decision form, else None.
+
+    In decision form every disjunction has two children that assert
+    opposite literals of one variable, and every conjunction's children
+    share no variable. Each disjunction becomes a decision on that variable
+    (the least name if several), its true branch first, each branch led by
+    its decision literal and padded to the disjunction's variables. Nesting
+    alternates disjunctions, which decide distinct variables, with
+    decomposable conjunctions, so the recursion is at most two frames per
+    variable, plus one.
+    """
+    memo: dict[Formula, int | None] = {}
+
+    def node(g: Formula) -> int | None:
+        if g in memo:
+            return memo[g]
+        hit = None
+        if isinstance(g, Lit):
+            hit = builder.literal(g.var, g.positive)
+        elif g is TRUE or g is FALSE:
+            hit = builder.true() if g is TRUE else builder.false()
+        elif isinstance(g, And):
+            if sum(len(c.vars) for c in g.children) == len(g.vars):
+                parts = [node(c) for c in g.children]
+                hit = None if None in parts else builder.conj(parts)
+        elif len(g.children) == 2:
+            # A guard is a literal of the second child whose complement the first asserts.
+            first, second = (x.children if isinstance(x, And) else (x,) for x in g.children)
+            asserted = {(c.var, c.positive) for c in first if isinstance(c, Lit)}
+            guards = [
+                (c.var, c.positive)
+                for c in second
+                if isinstance(c, Lit) and (c.var, not c.positive) in asserted
+            ]
+            if guards:
+                v, value = min(guards)
+                # The true branch first; value is the second child's polarity.
+                ordered = g.children[::-1] if value else g.children
+                branches = []
+                for child, positive in zip(ordered, (True, False)):
+                    gaps = _gaps(builder, sorted(g.vars - child.vars))
+                    branches.append((builder.literal(v, positive), node(child), *gaps))
+                if all(None not in parts for parts in branches):
+                    hit = builder.disj([builder.conj(parts) for parts in branches], decision=v)
+        memo[g] = hit
+        return hit
+
+    return node(f)
+
+
+def _clauses(f: Formula, bit: dict) -> list[tuple[int, int]]:
+    """``f``, which is no constant, as clauses of (positive, negative)
+    variable bit masks, with bits from ``bit``. A conjunction child of a
+    disjunction, other than its only one, becomes an auxiliary variable
+    ``t``, keyed in ``bit`` by that child and numbered after the others,
+    with the clauses of ``t -> child``."""
+    out: list[tuple[int, int]] = []
+
+    def add(g: Formula, pos: int, neg: int) -> None:
+        # Append the clauses of (pos or neg) or g.
+        if isinstance(g, And):
+            for c in g.children:
+                add(c, pos, neg)
+            return
+        conjunctions = []
+        for c in g.children if isinstance(g, Or) else (g,):
+            if not isinstance(c, Lit):
+                conjunctions.append(c)
+            elif c.positive:
+                pos |= 1 << bit[c.var]
             else:
-                joined |= group[0]
-                members += group[1]
-        apart.append((joined, members))
-        groups = apart
-    ordered = sorted(sorted(members) for _, members in groups)
-    return [[children[i] for i in members] for members in ordered]
+                neg |= 1 << bit[c.var]
+        if len(conjunctions) == 1:
+            add(conjunctions[0], pos, neg)
+            return
+        for c in conjunctions:
+            t = bit.get(c)
+            if t is None:
+                t = bit[c] = len(bit)
+                add(c, 0, 1 << t)
+            pos |= 1 << t
+        out.append((pos, neg))
+
+    add(f, 0, 0)
+    return [(p, n) for p, n in dict.fromkeys(out) if not p & n]
 
 
-def _most_shared(children: Sequence[Formula], pool: frozenset[str]) -> str:
-    """The variable of ``pool`` in the most ``children``, the least name on ties."""
-    counts = dict.fromkeys(pool, 0)
-    for c in children:
-        for v in c.vars:
-            if v in counts:
-                counts[v] += 1
-    return min(counts, key=lambda v: (-counts[v], v))
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of ``m``, least first."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
+
+
+def _search(
+    builder: _Builder, clauses: list[tuple[int, int]], width: int, declared: Sequence[str]
+) -> int:
+    """The root node for ``clauses`` over ``width`` variable bits, of which
+    the low ``len(declared)`` are the declared variables in name order and
+    the rest are eliminated."""
+    kept = (1 << len(declared)) - 1
+    hidden = ((1 << width) - 1) ^ kept
+    pos_occ, neg_occ = [0] * width, [0] * width
+    for i, (p, n) in enumerate(clauses):
+        for v in _bits(p):
+            pos_occ[v] |= 1 << i
+        for v in _bits(n):
+            neg_occ[v] |= 1 << i
+    occ = [p | n for p, n in zip(pos_occ, neg_occ)]
+    cpos = [p for p, _ in clauses]
+    cvars = [p | n for p, n in clauses]
+    false = builder.false()
+    cache: dict[tuple[int, int], int] = {}
+
+    def propagate(live: int, free: int, on: int, off: int) -> tuple[int, int, int, int] | None:
+        # Assign the bits of on true and of off false, then unit literals and
+        # pure literals of eliminated variables, to a fixed point: the live
+        # clauses, free variables and all bits set true and false, or None on
+        # a conflict. A pure literal keeps a model only under projection.
+        on_all = off_all = 0
+        while True:
+            if not on | off:
+                for v in _bits(free & hidden):
+                    if not neg_occ[v] & live:
+                        if pos_occ[v] & live:
+                            on |= 1 << v
+                    elif not pos_occ[v] & live:
+                        off |= 1 << v
+                if not on | off:
+                    return live, free, on_all, off_all
+            if on & off:
+                return None
+            on_all |= on
+            off_all |= off
+            free &= ~(on | off)
+            satisfied = shrunk = 0
+            for m, yes, no in ((on, pos_occ, neg_occ), (off, neg_occ, pos_occ)):
+                for v in _bits(m):
+                    satisfied |= yes[v]
+                    shrunk |= no[v]
+            live &= ~satisfied
+            on = off = 0
+            for c in _bits(shrunk & live):
+                rest = cvars[c] & free
+                if not rest & (rest - 1):
+                    if not rest:
+                        return None
+                    if cpos[c] & rest:
+                        on |= rest
+                    else:
+                        off |= rest
+
+    def split(live: int, free: int) -> list[tuple[int, int]]:
+        # The live clauses grouped by shared free variables, as (clause mask,
+        # variable mask) pairs in the order of their least variable.
+        parts = []
+        while live:
+            clauses = live & -live
+            variables = frontier = cvars[clauses.bit_length() - 1] & free
+            while frontier:
+                reached = 0
+                for v in _bits(frontier):
+                    reached |= occ[v]
+                reached &= live & ~clauses
+                clauses |= reached
+                frontier = 0
+                for c in _bits(reached):
+                    frontier |= cvars[c]
+                frontier &= free & ~variables
+                variables |= frontier
+            live &= ~clauses
+            parts.append((clauses, variables))
+        parts.sort(key=lambda part: part[1] & -part[1])
+        return parts
+
+    def satisfiable(live: int, free: int) -> bool:
+        stack = [(live, free, 0, 0)]
+        while stack:
+            state = propagate(*stack.pop())
+            if state is not None:
+                live, free = state[0], state[1]
+                if not live:
+                    return True
+                v = cvars[(live & -live).bit_length() - 1] & free
+                v &= -v
+                stack += ((live, free, 0, v), (live, free, v, 0))
+        return False
+
+    def expand(live: int, free: int, span: int, decision: int, on: int, off: int) -> int:
+        # The node of the residual once on and off are assigned: the decision
+        # literal first, then the other kept literals set, the components and
+        # gap nodes for the variables of span left uncovered.
+        state = propagate(live, free, on, off)
+        if state is None:
+            return false
+        live, free, on, off = state
+        covered = (on | off) & kept
+        parts = []
+        for m in (decision, covered & ~decision):
+            for v in _bits(m):
+                parts.append(builder.literal(declared[v], bool(on >> v & 1)))
+        for clauses, variables in split(live, free):
+            node = component(clauses, variables)
+            if node == false:
+                return false
+            parts.append(node)
+            covered |= variables
+        parts += _gaps(builder, (declared[v] for v in _bits(span & ~covered)))
+        return builder.conj(parts)
+
+    def component(clauses: int, variables: int) -> int:
+        # The node of one component: it mentions exactly its kept variables.
+        key = (clauses, variables)
+        node = cache.get(key)
+        if node is None:
+            pool = variables & kept
+            if not pool:
+                node = builder.true() if satisfiable(clauses, variables) else false
+            else:
+                best = -1
+                for i in _bits(pool):
+                    count = (occ[i] & clauses).bit_count()
+                    if count > best:
+                        best, v = count, i
+                low = 1 << v
+                node = builder.disj(
+                    [expand(clauses, variables & ~low, pool, low, low, 0),
+                     expand(clauses, variables & ~low, pool, low, 0, low)],
+                    decision=declared[v],
+                )
+            cache[key] = node
+        return node
+
+    on = off = 0
+    for p, n in clauses:
+        if not (p | n) & (p | n) - 1:
+            on |= p
+            off |= n
+    return expand((1 << len(clauses)) - 1, (1 << width) - 1, kept, 0, on, off)
 
 
 def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
@@ -348,10 +523,6 @@ class ValidationReport:
     first_nondecomposable: int | None = None
     first_nondeterministic: int | None = None
     first_unsmooth: int | None = None
-
-    @property
-    def all_passed(self) -> bool:
-        return self.decomposable and self.deterministic and self.smooth
 
 
 def validate(circuit: Circuit) -> ValidationReport:

@@ -144,13 +144,6 @@ def parse_labels(
     return out
 
 
-def format_af(af: ArgumentationFramework) -> str:
-    """Render back as facts; parse(format(af)) == af."""
-    lines = [f"arg({name})." for name in af.arguments]
-    lines.extend(f"att({s},{t})." for s, t in sorted(af.attacks))
-    return "\n".join(lines) + "\n"
-
-
 def _sig(value: float) -> float | str:
     if math.isinf(value):
         return "inf"

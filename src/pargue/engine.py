@@ -126,7 +126,10 @@ def _compiled(
     argument's constellation. Always pass all three arguments, so that each
     target has one cache key.
     """
-    # Refused before encoding; a constellation eliminates one variable per argument.
+    # Refused before encoding; a constellation eliminates one membership
+    # variable per argument, and the auxiliaries the compiler adds are not
+    # counted. The session holds what the encoders intern; the compiler reads
+    # the formula once and builds none.
     _require_width(len(af.arguments))
     with session():
         if argument is None:

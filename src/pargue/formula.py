@@ -3,16 +3,18 @@
 Both connectives are built by one factory (``_join``) that flattens nested
 operators, drops neutral elements, deduplicates children and collapses
 complementary literal pairs, so structurally equal formulas are one object.
-That makes identity-keyed caches (cofactors, compilation) cheap.
+The encoders build their theories here; the compiler reads a formula once,
+translating it or converting it into clauses, and builds none.
 
-The intern tables, the cofactor table and the serial counter belong to a
-session. Formulas built outside any ``session()`` block live in the default
-session, which lasts as long as the process. A ``session()`` block swaps in
-empty tables and a counter that starts again at zero, and drops them when it
-ends, so what one compile target builds is neither kept nor seen by the
-next, and the same input gives the same formulas in any process. Intern keys
-are tuples of child serials, so a formula must never be combined with one
-from another session: the serials would alias different nodes.
+The intern tables and the serial counter belong to a session. Formulas
+built outside any ``session()`` block live in the default session, which
+lasts as long as the process. A ``session()`` block swaps in empty tables
+and a counter that starts again at zero, and drops them when it ends, so
+what one compile target builds is neither kept nor seen by the next, the
+tables stay bounded, and the same input gives the same formulas in any
+process. Intern keys are tuples of child serials, so a formula must never
+be combined with one from another session: the serials would alias
+different nodes.
 """
 
 from __future__ import annotations
@@ -87,19 +89,18 @@ FALSE = _Const(False)
 _LITERALS: dict[tuple[str, bool], Lit] = {}
 _ANDS: dict[tuple[int, ...], And] = {}
 _ORS: dict[tuple[int, ...], Or] = {}
-_COFACTORS: dict[tuple[Formula, str, bool], Formula] = {}
 
 
 @contextmanager
 def session() -> Iterator[None]:
     """Build formulas in fresh tables inside the block; sessions may nest."""
-    global _LITERALS, _ANDS, _ORS, _COFACTORS, _serial
-    saved = _LITERALS, _ANDS, _ORS, _COFACTORS, _serial
-    _LITERALS, _ANDS, _ORS, _COFACTORS, _serial = {}, {}, {}, {}, itertools.count()
+    global _LITERALS, _ANDS, _ORS, _serial
+    saved = _LITERALS, _ANDS, _ORS, _serial
+    _LITERALS, _ANDS, _ORS, _serial = {}, {}, {}, itertools.count()
     try:
         yield
     finally:
-        _LITERALS, _ANDS, _ORS, _COFACTORS, _serial = saved
+        _LITERALS, _ANDS, _ORS, _serial = saved
 
 
 def lit(name: str, positive: bool = True) -> Formula:
@@ -168,23 +169,6 @@ def or_(items: Iterable[Formula]) -> Formula:
     return _join(items, Or, _ORS, TRUE, FALSE)
 
 
-def assign(f: Formula, name: str, value: bool) -> Formula:
-    """Cofactor: substitute a constant for one variable and simplify."""
-    if name not in f.vars:
-        return f
-    key = (f, name, value)
-    cached = _COFACTORS.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(f, Lit):
-        result = TRUE if f.positive == value else FALSE
-    else:
-        children = [assign(c, name, value) if name in c.vars else c for c in f.children]
-        result = and_(children) if isinstance(f, And) else or_(children)
-    _COFACTORS[key] = result
-    return result
-
-
 def satisfies(f: Formula, true_vars: Iterable[str]) -> bool:
     """Evaluate under the assignment that sets exactly ``true_vars`` to true."""
     on = frozenset(true_vars)
@@ -201,7 +185,9 @@ def models(f: Formula, variables: Sequence[str]) -> Iterator[frozenset[str]]:
     """Enumerate satisfying assignments over the given variables (truth table)."""
     names = sorted(set(variables))
     if not set(f.vars) <= set(names):
-        raise ValueError(f"formula mentions variables outside {names}")
+        from .errors import InputError
+
+        raise InputError(f"formula mentions variables outside {names}")
     for mask in range(1 << len(names)):
         on = frozenset(names[i] for i in range(len(names)) if mask >> i & 1)
         if satisfies(f, on):

@@ -76,6 +76,18 @@ def random_framework(
     return ArgumentationFramework(names, attacks)
 
 
+def format_af(af: ArgumentationFramework) -> str:
+    """Render back as facts; parse_af(format_af(af)) == af."""
+    lines = [f"arg({name})." for name in af.arguments]
+    lines.extend(f"att({s},{t})." for s, t in sorted(af.attacks))
+    return "\n".join(lines) + "\n"
+
+
+def passed(report) -> bool:
+    """Whether a ``ValidationReport`` passes all three structural checks."""
+    return report.decomposable and report.deterministic and report.smooth
+
+
 def random_beta_labels(
     rng: random.Random, af: ArgumentationFramework
 ) -> dict[str, BetaLabel]:

@@ -31,18 +31,20 @@ from pargue import (
     compile_formula,
     condition,
     encode,
+    encode_enumerative,
     evaluate,
     format_nnf,
     model_count,
     models,
     not_,
     or_,
+    satisfies,
     validate,
     var,
 )
 from pargue.semiring import model_masks
 
-from conftest import frameworks
+from conftest import frameworks, passed
 from test_formula_encode import formulas
 
 NAMES = ("a", "b", "c", "d")
@@ -174,7 +176,7 @@ class TestCompile:
     def test_projection_matches_truth_table(self, f, hidden):
         kept = [name for name in NAMES if name not in hidden]
         c = compile_formula(f, variables=kept, eliminate=hidden)
-        assert validate(c).all_passed
+        assert passed(validate(c))
         got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
         assert got == {m - hidden for m in models(f, NAMES)}
         assert model_count(c) == len(got)
@@ -190,7 +192,7 @@ class TestCompile:
         f = and_(parts)
         kept = [name for name in names if name not in hidden]
         c = compile_formula(f, variables=kept, eliminate=hidden)
-        assert validate(c).all_passed
+        assert passed(validate(c))
         got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
         assert got == {m - hidden for m in models(f, names)}
         assert model_count(c) == len(got)
@@ -211,13 +213,13 @@ class TestCompile:
     @given(formulas())
     def test_compiled_circuits_validate(self, f):
         report = validate(compile_formula(f, variables=NAMES))
-        assert report.all_passed
+        assert passed(report)
 
     @given(frameworks())
     def test_theory_circuits_validate(self, af):
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
             c = compile_formula(encode(af, semantics), variables=af.arguments)
-            assert validate(c).all_passed
+            assert passed(validate(c))
             assert model_count(c) == sum(
                 1 for _ in models(encode(af, semantics), af.arguments)
             )
@@ -250,7 +252,7 @@ class TestCompile:
         af = ArgumentationFramework(names, attacks)
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
             c = compile_formula(encode(af, semantics), variables=names)
-            assert validate(c).all_passed
+            assert passed(validate(c))
         assert calls == []
 
     def test_wide_admissible_theory_stays_small(self, monkeypatch):
@@ -262,8 +264,64 @@ class TestCompile:
         names = [f"x{i:03d}" for i in range(120)]
         af = ArgumentationFramework(names, rng.sample([(s, t) for s in names for t in names], 180))
         c = compile_formula(encode(af, Semantics.AD), variables=names)
-        assert validate(c).all_passed
+        assert passed(validate(c))
         assert len(c.nodes) < 2000
+
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.sets(st.integers(0, (1 << n) - 1)), st.integers(0, 2)
+            )
+        )
+    )
+    def test_decision_form_keeps_exactly_the_masks(self, case):
+        n, masks, wider = case
+        # The declared extras are free: each mask once per assignment to them.
+        names = [f"v{i}" for i in range(n)]
+        extras = [f"w{i}" for i in range(wider)]
+        c = compile_formula(encode_enumerative(names, masks), variables=names + extras)
+        assert passed(validate(c))
+        got = [frozenset(v for i, v in enumerate(c.variables) if m >> i & 1) for m in model_masks(c)]
+        want = {
+            frozenset(v for i, v in enumerate(names + extras) if (m | e << n) >> i & 1)
+            for m in masks
+            for e in range(1 << wider)
+        }
+        assert len(got) == len(want) and set(got) == want
+
+    def test_decision_form_is_translated_without_clauses(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("decision-form formula converted to clauses")
+
+        monkeypatch.setattr(importlib.import_module("pargue.circuit"), "_clauses", refuse)
+        names = [f"x{i:02d}" for i in range(25)]
+        masks = set(random.Random(3000).sample(range(1 << 25), 3000))
+        c = compile_formula(encode_enumerative(names, masks), variables=names)
+        assert set(model_masks(c)) == masks
+        assert passed(validate(c))
+
+    def test_complete_theory_compiles_through_auxiliaries(self, monkeypatch):
+        # CO's reinstatement is no clause set: each attacker's conjunction of
+        # its attackers' negations becomes an eliminated auxiliary.
+        circuit_module = importlib.import_module("pargue.circuit")
+        widths = []
+        real = circuit_module._clauses
+
+        def counting(f, bit):
+            clauses = real(f, bit)
+            widths.append(len(bit))
+            return clauses
+
+        monkeypatch.setattr(circuit_module, "_clauses", counting)
+        rng = random.Random(25)
+        names = [f"x{i:02d}" for i in range(25)]
+        af = ArgumentationFramework(names, rng.sample([(s, t) for s in names for t in names], 75))
+        theory = encode(af, Semantics.CO)
+        c = compile_formula(theory, variables=names)
+        assert widths and widths[0] > len(names)
+        assert passed(validate(c))
+        found = [frozenset(v for i, v in enumerate(names) if m >> i & 1) for m in model_masks(c)]
+        assert found and all(satisfies(theory, m) for m in found)
 
     def test_circuits_do_not_depend_on_the_hash_seed(self):
         # The split groups conjuncts by sets of names; string hashing varies

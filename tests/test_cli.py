@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pargue
-from conftest import frameworks
+from conftest import format_af, frameworks
 from pargue import ArgumentationFramework, BetaLabel, ParseError
 from pargue.beta import (
     ALEATORY_LABELS,
@@ -22,7 +22,7 @@ from pargue.beta import (
     DEFAULT_EPISTEMIC_EDGES,
     EPISTEMIC_LABELS,
 )
-from pargue.cli import emit_json, format_af, parse_af, parse_labels, run
+from pargue.cli import emit_json, parse_af, parse_labels, run
 
 FRAMEWORK_TEXT = """\
 arg(a). arg(b).

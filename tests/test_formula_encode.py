@@ -31,7 +31,6 @@ from pargue import (
     var,
 )
 from pargue.engine import _compiled, _theory
-from pargue.formula import assign
 from pargue.semiring import model_masks
 
 from conftest import frameworks
@@ -45,16 +44,9 @@ def model_set(f, names):
 
 def projected_model_set(f, names):
     """Assignments to ``names`` that extend to a model of ``f`` over its
-    other variables, by two nested truth tables."""
+    other variables, from one truth table over all of them."""
     hidden = sorted(f.vars - set(names))
-    got = set()
-    for on in models(TRUE, names):
-        rest = f
-        for name in names:
-            rest = assign(rest, name, name in on)
-        if next(models(rest, hidden), None) is not None:
-            got.add(tuple(sorted(on)))
-    return got
+    return {tuple(sorted(m.intersection(names))) for m in models(f, [*names, *hidden])}
 
 
 @st.composite
@@ -120,28 +112,9 @@ class TestNormalization:
         f = or_([and_([var("a"), lit("b", False)]), var("c")])
         assert f.vars == {"a", "b", "c"}
 
-    def test_assign(self):
-        f = or_([and_([var("a"), var("b")]), var("c")])
-        assert assign(f, "c", True) is TRUE
-        assert assign(f, "c", False) is and_([var("a"), var("b")])
-        assert assign(f, "z", True) is f
-
-    def test_restrict(self):
-        f = and_([var("a"), or_([var("b"), var("c")])])
-        assert assign(assign(f, "a", True), "b", False) is var("c")
-        assert assign(assign(f, "b", False), "a", True) is var("c")
-
-    @given(formulas(), st.sampled_from(["a", "b", "c", "d"]), st.booleans())
-    def test_assign_agrees_with_semantics(self, f, name, value):
-        g = assign(f, name, value)
-        assert name not in g.vars
-        names = ["a", "b", "c", "d"]
-        for m in models(f, names):
-            if (name in m) == value:
-                assert satisfies(g, m - {name})
-        for m in models(g, [n for n in names if n != name]):
-            with_name = m | {name} if value else m
-            assert satisfies(f, with_name)
+    def test_models_outside_the_variables_rejected(self):
+        with pytest.raises(InputError, match="formula mentions variables outside"):
+            list(models(var("z"), ["a"]))
 
 
 class TestDirectEncodings:
