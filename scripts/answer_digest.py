@@ -6,8 +6,9 @@ seeds 1-3 is answered in this one process, in corpus order. Each answer is
 one line: ``float.hex`` of its mean and variance, its circuit node count and
 its model count. The digest is the sha256 of those lines, so two checkouts
 print the same digest exactly when their answers are bit-identical and their
-circuits the same size. Every distinct circuit the corpora compile is also
-checked with ``validate``, and any that fails makes the script exit 1.
+circuits the same size. Every distinct circuit the corpora build, by
+``compile_formula`` or ``encode_enumerative``, is also checked with
+``validate``, and any that fails makes the script exit 1.
 
 ``--write FILE`` saves the lines; ``--compare FILE`` reads lines saved by an
 earlier checkout and prints the largest change in mean and in variance, the
@@ -52,12 +53,11 @@ def answers(spec: dict):
         yield run[op["mode"]](graph, Semantics(op["semantics"]), op["argument"])
 
 
-def recording(compiled: dict):
-    """``engine.compile_formula``, keeping each circuit it returns in ``compiled``."""
-    compile_formula = engine.compile_formula
+def recording(build, compiled: dict):
+    """``build``, keeping each circuit it returns in ``compiled``."""
 
     def wrapper(*args, **kwargs):
-        circuit = compile_formula(*args, **kwargs)
+        circuit = build(*args, **kwargs)
         compiled[circuit] = None
         return circuit
 
@@ -110,7 +110,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     lines = []
     compiled: dict = {}
-    engine.compile_formula = recording(compiled)
+    # The engine builds every circuit with one of these two.
+    for name in ("compile_formula", "encode_enumerative"):
+        setattr(engine, name, recording(getattr(engine, name), compiled))
     start = time.perf_counter()
     for workload in WORKLOADS:
         for seed in SEEDS:

@@ -27,12 +27,13 @@ from .circuit import (
     ValidationReport,
     compile_formula,
     condition,
+    encode_enumerative,
     format_nnf,
     model_count,
     validate,
     write_nnf,
 )
-from .encode import encode, encode_constellation, encode_enumerative
+from .encode import encode, encode_constellation
 from .engine import (
     ProbabilisticGraph,
     brute_force_prob,

@@ -34,6 +34,16 @@ class Semantics(str, Enum):
     PR = "PR"  # preferred
 
 
+def _semantics(value: object) -> Semantics:
+    """``value`` as a ``Semantics``, which also accepts its name as a string."""
+    if isinstance(value, Semantics):  # every query passes here
+        return value
+    try:
+        return Semantics(value)
+    except ValueError:
+        raise InputError(f"unknown semantics {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ArgumentationFramework:
     """Finite set of arguments together with a directed attack relation.
@@ -110,6 +120,7 @@ class ArgumentationFramework:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, least first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -193,7 +204,7 @@ def _all_extension_masks(af: ArgumentationFramework, semantics: Semantics) -> tu
 
 def extensions(af: ArgumentationFramework, semantics: Semantics) -> tuple[frozenset[str], ...]:
     """All extensions under the given semantics, sorted for determinism."""
-    return _sorted_sets(af, _all_extension_masks(af, semantics))
+    return _sorted_sets(af, _all_extension_masks(af, _semantics(semantics)))
 
 
 def _cone_mask(af: ArgumentationFramework, argument: str) -> int:

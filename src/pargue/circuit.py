@@ -1,20 +1,17 @@
-"""Compilation of formulas into smooth deterministic decomposable circuits.
+"""Compilation of formulas and listed model sets into smooth d-DNNF circuits.
 
-A formula already in decision form, where every disjunction decides a
-variable and every conjunction is decomposable, is translated node for node:
-``encode_enumerative`` builds that form. Any other formula is converted once
-into clauses held as integer bit masks, and compiled by a component-caching
-search over them in the manner of sharpSAT (Thurley, SAT 2006) and of
-decision-DNNF compilers (Darwiche, ECAI 2004; Lagniez & Marquis, IJCAI
-2017). After each decision it assigns unit literals, splits the residual
-clauses into components that share no variable, and decides, in each, the
-kept variable in the most residual clauses, the least name on ties. A cache
-keyed on each component's clauses and variables turns shared subproblems
-into shared circuit nodes. Disjunctions always branch on a decision
-variable, which gives determinism by construction; decomposability falls out
-of conditioning and splitting; smoothness comes from padding, during the
-same search, each branch with (v or not v) gap nodes for the variables that
-simplification dropped.
+A formula is converted once into clauses held as integer bit masks, and
+compiled by a component-caching search over them in the manner of sharpSAT
+(Thurley, SAT 2006) and of decision-DNNF compilers (Darwiche, ECAI 2004;
+Lagniez & Marquis, IJCAI 2017). After each decision it assigns unit
+literals, splits the residual clauses into components that share no
+variable, and decides, in each, the kept variable in the most residual
+clauses, the least name on ties. A cache keyed on each component's clauses
+and variables turns shared subproblems into shared circuit nodes.
+Disjunctions always branch on a decision variable, which gives determinism
+by construction; decomposability falls out of conditioning and splitting;
+smoothness comes from padding, during the same search, each branch with
+(v or not v) gap nodes for the variables that simplification dropped.
 
 Variables named to be eliminated are projected away existentially, in the
 manner of projected model counting (Lagniez & Marquis, AAAI 2019), within
@@ -25,6 +22,10 @@ included; and a component that mentions no kept variable becomes the true
 or the false node by a satisfiability check. Only kept variables make
 disjunctions, so the circuit stays deterministic.
 
+A listed model set (``encode_enumerative``) needs no search: deciding its
+names in order, equal tails sharing a node, builds a reduced ordered
+decision diagram (Bryant, IEEE ToC 1986) straight into circuit nodes.
+
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
 """
@@ -34,8 +35,9 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .af import _bits
 from .errors import CapacityError, InputError
 from .formula import FALSE, TRUE, And, Formula, Lit, Or
 
@@ -149,11 +151,10 @@ def compile_formula(
     model of ``f``. At most ``MAX_COMPILE_VARIABLES`` declared variables, and
     as many eliminated ones, are compiled; auxiliaries are not counted.
 
-    A formula in decision form, with no eliminated variable, is translated
-    node for node. Any other is converted once into clauses: a disjunction
-    distributes over its one conjunction child, and every other conjunction
-    child of a disjunction gets an eliminated auxiliary ``t`` with the
-    clauses of ``t -> child``. The search then caches each component on its
+    The formula is converted once into clauses: a disjunction distributes
+    over its one conjunction child, and every other conjunction child of a
+    disjunction gets an eliminated auxiliary ``t`` with the clauses of
+    ``t -> child``. The search then caches each component on its
     (clause-id mask, variable mask) pair: every live clause of a component
     is the original clause cut down to the component's variables, so the
     pair names the residual. Eliminated variables are assigned by
@@ -174,13 +175,63 @@ def compile_formula(
     _require_width(len(declared), len(eliminated))
 
     builder = _Builder()
-    root = None if eliminated else _translate(builder, f)
-    if root is None:
-        bit = {name: i for i, name in enumerate((*declared, *eliminated))}
-        clauses = _clauses(f, bit)  # adds the auxiliaries to bit
-        root = _search(builder, clauses, len(bit), declared)
+    if f is FALSE:
+        root = builder.false()
     else:
-        root = builder.conj([root, *_gaps(builder, sorted(set(declared) - f.vars))])
+        bit = {name: i for i, name in enumerate((*declared, *eliminated))}
+        clauses = [] if f is TRUE else _clauses(f, bit)  # adds the auxiliaries to bit
+        root = _search(builder, clauses, len(bit), declared)
+    nodes = _reachable(builder.nodes, root)
+    return Circuit(nodes, len(nodes) - 1, declared)
+
+
+def encode_enumerative(
+    names: Sequence[str], masks: Iterable[int], variables: Iterable[str] | None = None
+) -> Circuit:
+    """The circuit whose models are exactly ``masks``, bit i for ``names[i]``,
+    over ``names`` and any further ``variables`` in sorted order: PR's theory
+    and GR's constellation. Each name in turn is decided, true branch first,
+    on the mask tails still to place, memoised so equal tails share one node
+    and skipped where both branches give one node. A branch is its decision
+    literal, its child and gap nodes up to the decision's variables. At most
+    ``MAX_COMPILE_VARIABLES`` variables are declared, so the recursion is at
+    most 26 frames deep.
+    """
+    if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+        raise InputError(f"names must be distinct strings, got {list(names)!r}")
+    declared = tuple(sorted(set(names).union(variables or ())))
+    _require_width(len(declared))
+    tails = frozenset(masks)
+    if not all(isinstance(m, int) and 0 <= m < 1 << len(names) for m in tails):
+        raise InputError(f"masks must be non-negative integers below 2**{len(names)}")
+    builder = _Builder()
+    false, true = builder.false(), builder.true()
+    memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+
+    def build(i: int, tails: frozenset[int]) -> tuple[int, int]:
+        # The node of the tails over names[i:], and the bit mask of the names it mentions.
+        if not tails or i == len(names):
+            return (true if tails else false), 0
+        hit = memo.get((i, tails))
+        if hit is None:
+            high = build(i + 1, frozenset(m >> 1 for m in tails if m & 1))
+            low = build(i + 1, frozenset(m >> 1 for m in tails if not m & 1))
+            hit = high
+            if high[0] != low[0]:
+                span = 1 << i | high[1] | low[1]
+                branches = []
+                for positive, (child, mentions) in ((True, high), (False, low)):
+                    if child != false:  # a branch with no model gets no gap nodes
+                        gaps = (names[v] for v in _bits(span & ~(1 << i | mentions)))
+                        parts = [builder.literal(names[i], positive), child, *_gaps(builder, gaps)]
+                        branches.append(builder.conj(parts))
+                hit = builder.disj(branches, decision=names[i]), span
+            memo[i, tails] = hit
+        return hit
+
+    root, span = build(0, tails)
+    mentioned = {names[v] for v in _bits(span)}
+    root = builder.conj([root, *_gaps(builder, (v for v in declared if v not in mentioned))])
     nodes = _reachable(builder.nodes, root)
     return Circuit(nodes, len(nodes) - 1, declared)
 
@@ -192,57 +243,6 @@ def _gaps(builder: _Builder, names: Iterable[str]) -> list[int]:
         builder.disj([builder.literal(v, True), builder.literal(v, False)], decision=v)
         for v in names
     ]
-
-
-def _translate(builder: _Builder, f: Formula) -> int | None:
-    """The node of ``f`` if it is in decision form, else None.
-
-    In decision form every disjunction has two children that assert
-    opposite literals of one variable, and every conjunction's children
-    share no variable. Each disjunction becomes a decision on that variable
-    (the least name if several), its true branch first, each branch led by
-    its decision literal and padded to the disjunction's variables. Nesting
-    alternates disjunctions, which decide distinct variables, with
-    decomposable conjunctions, so the recursion is at most two frames per
-    variable, plus one.
-    """
-    memo: dict[Formula, int | None] = {}
-
-    def node(g: Formula) -> int | None:
-        if g in memo:
-            return memo[g]
-        hit = None
-        if isinstance(g, Lit):
-            hit = builder.literal(g.var, g.positive)
-        elif g is TRUE or g is FALSE:
-            hit = builder.true() if g is TRUE else builder.false()
-        elif isinstance(g, And):
-            if sum(len(c.vars) for c in g.children) == len(g.vars):
-                parts = [node(c) for c in g.children]
-                hit = None if None in parts else builder.conj(parts)
-        elif len(g.children) == 2:
-            # A guard is a literal of the second child whose complement the first asserts.
-            first, second = (x.children if isinstance(x, And) else (x,) for x in g.children)
-            asserted = {(c.var, c.positive) for c in first if isinstance(c, Lit)}
-            guards = [
-                (c.var, c.positive)
-                for c in second
-                if isinstance(c, Lit) and (c.var, not c.positive) in asserted
-            ]
-            if guards:
-                v, value = min(guards)
-                # The true branch first; value is the second child's polarity.
-                ordered = g.children[::-1] if value else g.children
-                branches = []
-                for child, positive in zip(ordered, (True, False)):
-                    gaps = _gaps(builder, sorted(g.vars - child.vars))
-                    branches.append((builder.literal(v, positive), node(child), *gaps))
-                if all(None not in parts for parts in branches):
-                    hit = builder.disj([builder.conj(parts) for parts in branches], decision=v)
-        memo[g] = hit
-        return hit
-
-    return node(f)
 
 
 def _clauses(f: Formula, bit: dict) -> list[tuple[int, int]]:
@@ -280,14 +280,6 @@ def _clauses(f: Formula, bit: dict) -> list[tuple[int, int]]:
 
     add(f, 0, 0)
     return [(p, n) for p, n in dict.fromkeys(out) if not p & n]
-
-
-def _bits(m: int) -> Iterator[int]:
-    """The indices of the set bits of ``m``, least first."""
-    while m:
-        low = m & -m
-        m ^= low
-        yield low.bit_length() - 1
 
 
 def _search(

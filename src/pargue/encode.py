@@ -1,14 +1,13 @@
 """Propositional theories whose models are exactly a framework's extensions.
 
 Conflict-free, admissible, complete and stable semantics have direct
-structural encodings. Grounded and preferred are not closed under the model
-set of any such formula shape, so their theories list their extensions
-(``encode_enumerative``): one decision-shaped formula over the sorted ids
-whose models are exactly the listed masks. ``encode`` lists GR's one
-extension, found by its fixed point. PR's extensions are the subset-maximal
-models of the compiled complete-semantics circuit, since the preferred
-extensions are exactly the maximal complete ones (Dung 1995); the engine
-reads them off its cached CO circuit, so ``encode`` has no PR case.
+structural encodings. Grounded has one extension, found by its fixed point,
+so its theory is the conjunction of one literal per argument. Preferred is
+not closed under the model set of any such formula shape: PR's extensions
+are the subset-maximal models of the compiled complete-semantics circuit,
+since the preferred extensions are exactly the maximal complete ones (Dung
+1995), and the engine builds their listed set straight into a circuit with
+``circuit.encode_enumerative``, so ``encode`` has no PR case.
 
 The constellation encoding describes, for one query argument, every induced
 subgraph in which that argument is credulously accepted. Under CF it is a
@@ -25,9 +24,9 @@ argument outside it. Under AD, CO, PR and ST the theory is existential:
 beside the presence variables (the argument ids) it has one membership
 variable per argument (``_member``), for an extension of the present
 subgraph that holds the query argument; compiling it with the membership
-variables eliminated leaves the accepting subgraphs. GR has no such form,
-so its accepting subgraphs come from a scan of every subgraph's fixed point
-(``_accepted``), over the cone, so arguments with one cone share one table.
+variables eliminated leaves the accepting subgraphs. GR has no such form:
+``_grounded_constellation`` lists them from a scan of every cone subgraph's
+fixed point (``_accepted``), a table that arguments with one cone share.
 
 ``pargue/__init__.py`` re-exports the function ``encode`` under this
 module's name, so ``import pargue.encode as E`` binds the function, and an
@@ -38,19 +37,19 @@ attribute set on it patches nothing. Reach the module itself with
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
 
 from .af import (
     ArgumentationFramework,
     Semantics,
     _cone_mask,
     _extension_masks,
+    _semantics,
     attackers,
     extensions,
     subgraph,
 )
 from .errors import CapacityError, InputError
-from .formula import FALSE, TRUE, Formula, and_, lit, not_, or_, var
+from .formula import FALSE, Formula, and_, lit, not_, or_, var
 
 # The acceptance table visits every subgraph of the framework it is built
 # for: 2^n fixed points under GR, where GR's constellation builds it for the
@@ -81,7 +80,8 @@ def _some_defender(af: ArgumentationFramework, name: str) -> Formula:
 
 
 def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """Theory of CF, AD, CO or ST by structure; GR's lists its fixed point."""
+    """Theory of CF, AD, CO or ST by structure, and of GR by its fixed point."""
+    semantics = _semantics(semantics)
     if semantics is Semantics.CF:
         return and_(
             or_((lit(source, False), lit(target, False)))
@@ -101,45 +101,11 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
         )
         return and_((encode(af, Semantics.CF), *reinstatement))
     if semantics is Semantics.GR:
-        masks = [af._mask(e) for e in extensions(af, semantics)]
-        return encode_enumerative(af.arguments, masks)
+        (grounded,) = extensions(af, semantics)
+        return and_(lit(name, name in grounded) for name in af.arguments)
     raise InputError(
         f"no direct encoding for {semantics.value}; list its extensions with encode_enumerative"
     )
-
-
-def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Formula:
-    """The formula whose models are exactly ``masks`` (bit i for ``names[i]``),
-    FALSE for none: the GR and PR theories and GR's constellation.
-
-    An if-then-else over the names in order, memoised on the set of mask
-    tails still to place, so equal tails share one subformula. It is built
-    depth first from an explicit stack, so any number of names fits.
-    """
-    tails = frozenset(masks)
-    if tails and (min(tails) < 0 or max(tails) >> len(names)):
-        raise InputError(f"masks must lie below 2**{len(names)}")
-    memo: dict[tuple[int, frozenset[int]], Formula] = {}
-
-    def built(i: int, tails: frozenset[int]) -> Formula | None:
-        return FALSE if not tails else TRUE if i == len(names) else memo.get((i, tails))
-
-    # Frames are (i, tails, high, low); the branch tails are None until the
-    # frame is expanded. The high branch is built first, as recursion would.
-    stack: list[tuple] = [(0, tails, None, None)]
-    while stack:
-        i, here, high, low = stack.pop()
-        if high is None:
-            if built(i, here) is None:
-                high = frozenset(m >> 1 for m in here if m & 1)
-                low = frozenset(m >> 1 for m in here if not m & 1)
-                stack += ((i, here, high, low), (i + 1, low, None, None), (i + 1, high, None, None))
-            continue
-        x, yes, no = names[i], built(i + 1, high), built(i + 1, low)
-        memo[i, here] = yes if yes is no else or_(
-            (and_((var(x), yes)), and_((lit(x, False), no)))
-        )
-    return built(0, tails)
 
 
 # Keyed on the framework the table is built for: an argument's cone subgraph
@@ -162,6 +128,17 @@ def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ..
     )
 
 
+def _grounded_constellation(
+    af: ArgumentationFramework, argument: str
+) -> tuple[tuple[str, ...], list[int]]:
+    """The ids of the argument's relevance cone, and the masks over them of
+    the cone's subgraphs whose grounded extension holds the argument."""
+    cone = subgraph(af, af._members(_cone_mask(af, argument)))
+    bit = 1 << cone._index[argument]
+    table = _accepted(cone, Semantics.GR)
+    return cone.arguments, [sub for sub, union in enumerate(table) if union & bit]
+
+
 def _member(name: str) -> str:
     """Membership variable of an argument. The dot lies outside the
     argument-id alphabet, so it never names an argument."""
@@ -176,25 +153,26 @@ def encode_constellation(
     Under CF the argument's singleton is conflict-free unless it attacks
     itself, so the theory is the argument itself, or FALSE. Every other
     semantics but ST is encoded on the subgraph of the argument's relevance
-    cone, and its theory leaves the arguments outside the cone free. Under
-    GR it is the decision-shaped formula of the accepting subgraphs. Under
-    AD, CO, PR and ST its models, projected onto the argument ids, name the
-    arguments present in one accepting subgraph: the membership variables
-    describe an extension of that subgraph holding the argument, which is
-    conflict-free and inside the subgraph; under AD (and CO and PR, whose
-    credulous acceptance is the same, Dung 1995) it attacks every present
-    attacker of a member, and under ST every present non-member.
+    cone, and its theory leaves the arguments outside the cone free. GR has
+    no theory: its accepting subgraphs are listed by
+    ``_grounded_constellation``. Under AD, CO, PR and ST the models,
+    projected onto the argument ids, name the arguments present in one
+    accepting subgraph: the membership variables describe an extension of
+    that subgraph holding the argument, which is conflict-free and inside
+    the subgraph; under AD (and CO and PR, whose credulous acceptance is the
+    same, Dung 1995) it attacks every present attacker of a member, and
+    under ST every present non-member.
     """
+    semantics = _semantics(semantics)
     af._require(argument)
     if semantics is Semantics.CF:
         return FALSE if (argument, argument) in af.attacks else var(argument)
+    if semantics is Semantics.GR:
+        raise InputError(
+            "no constellation theory for GR; list its accepting subgraphs with encode_enumerative"
+        )
     if semantics is not Semantics.ST:
         af = subgraph(af, af._members(_cone_mask(af, argument)))
-    if semantics is Semantics.GR:
-        bit = 1 << af._index[argument]
-        table = _accepted(af, semantics)
-        accepting = (s for s, union in enumerate(table) if union & bit)
-        return encode_enumerative(af.arguments, accepting)
     member = {name: var(_member(name)) for name in af.arguments}
     parts = [member[argument]]
     parts += (_implies(member[x], var(x)) for x in af.arguments)

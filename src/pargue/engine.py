@@ -19,12 +19,13 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
 Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
 compiled targets (a framework's theory, or one argument's constellation,
-which ``mc_oracle`` still compiles under CF too). Each target is
-encoded and compiled in a formula session of its own, dropped once the
-circuit is built, so no formula outlives its target and a target compiles
-to the same circuit whatever the process built before; PR's theory reads
-the cached CO circuit. A point probability is a beta label of zero
-variance, so both label kinds get their moments from the one path in
+which ``mc_oracle`` still compiles under CF too). PR's theory (the maximal
+models of the cached CO circuit) and GR's constellation are listed sets,
+built by ``encode_enumerative``; every other target is encoded and compiled
+in a formula session of its own, dropped once the circuit is built, so no
+formula outlives its target and a target compiles to the same circuit
+whatever the process built before. A point probability is a beta label of
+zero variance, so both label kinds get their moments from the one path in
 ``propagate``; ``_query`` renders them into a ``QueryResult``. Every route
 has an independent oracle: enumeration over extensions or every subgraph
 (CF included) with the exact mixture variance, and a Monte-Carlo estimate.
@@ -36,12 +37,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .af import ArgumentationFramework, Semantics, _all_extension_masks
+from .af import ArgumentationFramework, Semantics, _all_extension_masks, _semantics
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
-from .circuit import Circuit, _require_width, compile_formula, condition, model_count
-from .encode import _accepted, encode, encode_constellation, encode_enumerative
+from .circuit import (
+    Circuit, _require_width, compile_formula, condition, encode_enumerative, model_count
+)
+from .encode import _accepted, _grounded_constellation, encode, encode_constellation
 from .errors import CapacityError, InputError
-from .formula import Formula, session
+from .formula import session
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
 from .propagate import CovarianceSpec, _answer, _with_covariance, propagate  # noqa: F401
@@ -107,15 +110,6 @@ class ProbabilisticGraph:
         }
 
 
-def _theory(af: ArgumentationFramework, semantics: Semantics) -> Formula:
-    """The framework's theory from ``encode``, but PR's lists the maximal
-    models of the cached CO circuit, the maximal complete extensions."""
-    if semantics is Semantics.PR:
-        complete = _compiled(af, Semantics.CO, None)[0]
-        return encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
-    return encode(af, semantics)
-
-
 @lru_cache(maxsize=256)
 def _compiled(
     af: ArgumentationFramework, semantics: Semantics, argument: str | None
@@ -127,18 +121,23 @@ def _compiled(
     target has one cache key.
     """
     # Refused before encoding; a constellation eliminates one membership
-    # variable per argument, and the auxiliaries the compiler adds are not
-    # counted. The session holds what the encoders intern; the compiler reads
-    # the formula once and builds none.
+    # variable per argument, and the compiler's auxiliaries are not counted.
     _require_width(len(af.arguments))
-    with session():
-        if argument is None:
-            formula, hidden = _theory(af, semantics), ()
-        else:
-            formula = encode_constellation(af, semantics, argument)
-            # Every variable beside the argument ids is a membership variable.
-            hidden = formula.vars.difference(af.arguments)
-        circuit = compile_formula(formula, variables=af.arguments, eliminate=hidden)
+    if argument is None and semantics is Semantics.PR:
+        complete = _compiled(af, Semantics.CO, None)[0]
+        circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
+    elif argument is not None and semantics is Semantics.GR:
+        names, masks = _grounded_constellation(af, argument)
+        circuit = encode_enumerative(names, masks, af.arguments)
+    else:
+        with session():  # holds what the encoders intern; the compiler builds none
+            if argument is None:
+                formula, hidden = encode(af, semantics), ()
+            else:
+                formula = encode_constellation(af, semantics, argument)
+                # Every variable beside the argument ids is a membership variable.
+                hidden = formula.vars.difference(af.arguments)
+            circuit = compile_formula(formula, variables=af.arguments, eliminate=hidden)
     return circuit, model_count(circuit)
 
 
@@ -163,6 +162,7 @@ def _query(
 ) -> QueryResult:
     af = graph.framework
     af._require(argument)
+    semantics = _semantics(semantics)
     if covariance is not None and not graph.beta_mode:
         raise InputError("covariances require beta labels")
     if mode == "prob-c" and semantics is Semantics.CF:
@@ -283,7 +283,7 @@ def brute_force_prob(
     """Oracle for ``prob``: sum over extensions containing the argument.
     Returns the mean under point labels, exact moments under beta labels."""
     bit = _brute_bit(graph.framework, argument)
-    masks = _all_extension_masks(graph.framework, semantics)
+    masks = _all_extension_masks(graph.framework, _semantics(semantics))
     return _oracle_answer(graph, [m for m in masks if m & bit])
 
 
@@ -292,7 +292,7 @@ def brute_force_prob_c(
 ) -> float | MomentPair:
     """Oracle for ``prob_c``: scan all subgraphs, CF too, for acceptance."""
     bit = _brute_bit(graph.framework, argument)
-    table = _accepted(graph.framework, semantics)
+    table = _accepted(graph.framework, _semantics(semantics))
     return _oracle_answer(graph, [sub for sub, union in enumerate(table) if union & bit])
 
 
@@ -321,7 +321,7 @@ def mc_oracle(
         raise InputError(f"unknown query mode {mode!r}")
     af = graph.framework
     af._require(argument)
-    circuit = _target(af, semantics, argument, mode)[0]
+    circuit = _target(af, _semantics(semantics), argument, mode)[0]
     if mode == "prob":
         circuit = condition(circuit, {argument: True})
     labels = graph.beta_labels()

@@ -4,7 +4,7 @@ Both connectives are built by one factory (``_join``) that flattens nested
 operators, drops neutral elements, deduplicates children and collapses
 complementary literal pairs, so structurally equal formulas are one object.
 The encoders build their theories here; the compiler reads a formula once,
-translating it or converting it into clauses, and builds none.
+converting it into clauses, and builds none.
 
 The intern tables and the serial counter belong to a session. Formulas
 built outside any ``session()`` block live in the default session, which

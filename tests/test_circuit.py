@@ -279,7 +279,7 @@ class TestCompile:
         # The declared extras are free: each mask once per assignment to them.
         names = [f"v{i}" for i in range(n)]
         extras = [f"w{i}" for i in range(wider)]
-        c = compile_formula(encode_enumerative(names, masks), variables=names + extras)
+        c = encode_enumerative(names, masks, names + extras)
         assert passed(validate(c))
         got = [frozenset(v for i, v in enumerate(c.variables) if m >> i & 1) for m in model_masks(c)]
         want = {
@@ -291,12 +291,14 @@ class TestCompile:
 
     def test_decision_form_is_translated_without_clauses(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("decision-form formula converted to clauses")
+            raise AssertionError("listed model set compiled by the clause search")
 
-        monkeypatch.setattr(importlib.import_module("pargue.circuit"), "_clauses", refuse)
+        circuit_module = importlib.import_module("pargue.circuit")
+        for name in ("_clauses", "_search"):
+            monkeypatch.setattr(circuit_module, name, refuse)
         names = [f"x{i:02d}" for i in range(25)]
         masks = set(random.Random(3000).sample(range(1 << 25), 3000))
-        c = compile_formula(encode_enumerative(names, masks), variables=names)
+        c = encode_enumerative(names, masks)
         assert set(model_masks(c)) == masks
         assert passed(validate(c))
 

@@ -32,7 +32,7 @@ from pargue import (
     prob_c,
     propagate,
 )
-from pargue import engine, formula, subgraph
+from pargue import encode, encode_constellation, engine, extensions, formula, subgraph
 from pargue.af import _cone_mask
 from pargue.circuit import validate
 from pargue.encode import _accepted
@@ -263,7 +263,7 @@ class TestCompiledCache:
     """One bounded cache holds each compiled target with its model count."""
 
     def test_warm_queries_neither_compile_nor_count(self, monkeypatch, example_graph):
-        calls = {"compile_formula": 0, "model_count": 0}
+        calls = {"compile_formula": 0, "encode_enumerative": 0, "model_count": 0}
         for name in calls:
             real = getattr(engine, name)
 
@@ -281,25 +281,27 @@ class TestCompiledCache:
                 assert calls == before, (query.__name__, semantics)
                 assert warm == cold
         # Six theories, plus three constellations: CO and PR share AD's, and
-        # CF's has a closed form.
-        assert calls == {"compile_formula": 9, "model_count": 9}
+        # CF's has a closed form. PR's theory and GR's constellation are
+        # listed model sets.
+        assert calls == {"compile_formula": 7, "encode_enumerative": 2, "model_count": 9}
 
     def test_preferred_reuses_the_complete_circuit(self, monkeypatch, example_graph):
         calls = []
-        # Count compiles wherever a module looks compile_formula up.
+        # Count circuit builds wherever a module looks a builder up.
         for module in (engine, importlib.import_module("pargue.encode")):
-            real = getattr(module, "compile_formula", None)
-            if real is not None:
+            for name in ("compile_formula", "encode_enumerative"):
+                real = getattr(module, name, None)
+                if real is not None:
 
-                def counting(*args, _real=real, **kwargs):
-                    calls.append(args[0])
-                    return _real(*args, **kwargs)
+                    def counting(*args, _name=name, _real=real, **kwargs):
+                        calls.append(_name)
+                        return _real(*args, **kwargs)
 
-                monkeypatch.setattr(module, "compile_formula", counting)
+                    monkeypatch.setattr(module, name, counting)
         engine._compiled.cache_clear()
         prob(example_graph, Semantics.CO, "d")
         prob(example_graph, Semantics.PR, "d")
-        assert len(calls) == 2
+        assert calls == ["compile_formula", "encode_enumerative"]
 
     def test_mc_oracle_shares_the_admissible_constellation(self, monkeypatch, example_graph):
         compiles = []
@@ -414,7 +416,7 @@ class TestConstellationScan:
                 for semantics in (Semantics.AD, Semantics.CO, Semantics.PR, Semantics.ST):
                     _compiled(af, semantics, name)
         assert calls == []
-        encode_module.encode_constellation(loop, Semantics.GR, "b")
+        encode_module._grounded_constellation(loop, "b")
         assert calls
 
     def test_cf_closed_form_past_the_scan_limit(self):
@@ -816,6 +818,35 @@ class TestGuards:
     def test_library_inputs_raise_input_error(self, build):
         with pytest.raises(InputError):
             build()
+
+    def test_semantics_given_by_name(self, monkeypatch, example_af, example_graph):
+        # Semantics is a str enum: every entry point takes a member's name as
+        # that member, and refuses a name that is none.
+        assert extensions(example_af, "GR") == (frozenset("abd"),)
+        assert encode(example_af, "CF") is encode(example_af, Semantics.CF)
+        result = prob(example_graph, "AD", "a")
+        assert result.semantics is Semantics.AD
+        assert result == prob(example_graph, Semantics.AD, "a")
+        monkeypatch.setattr(engine, "compile_formula", None)  # CF's closed form compiles nothing
+        assert prob_c(example_graph, "CF", "a").circuit_nodes == 0
+        monkeypatch.undo()
+        points = ProbabilisticGraph(example_af, example_graph.point_means())
+        assert brute_force_prob(points, "PR", "d") == brute_force_prob(points, Semantics.PR, "d")
+        assert brute_force_prob_c(points, "GR", "d") == brute_force_prob_c(points, Semantics.GR, "d")
+        estimate = mc_oracle(example_graph, "CO", "d", "prob", samples=20, seed=1)
+        assert estimate == mc_oracle(example_graph, Semantics.CO, "d", "prob", samples=20, seed=1)
+        for call in (
+            lambda s: extensions(example_af, s),
+            lambda s: encode(example_af, s),
+            lambda s: encode_constellation(example_af, s, "a"),
+            lambda s: prob(example_graph, s, "a"),
+            lambda s: prob_c(example_graph, s, "a"),
+            lambda s: brute_force_prob(points, s, "a"),
+            lambda s: brute_force_prob_c(points, s, "a"),
+            lambda s: mc_oracle(example_graph, s, "a", "prob", samples=1, seed=0),
+        ):
+            with pytest.raises(InputError, match="unknown semantics 'XX'"):
+                call("XX")
 
     def test_brute_force_capacity(self):
         names = [f"n{i}" for i in range(13)]

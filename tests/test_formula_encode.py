@@ -14,6 +14,7 @@ from pargue import (
     ArgumentationFramework,
     CapacityError,
     InputError,
+    Node,
     ProbabilisticGraph,
     Semantics,
     and_,
@@ -30,7 +31,8 @@ from pargue import (
     subgraph,
     var,
 )
-from pargue.engine import _compiled, _theory
+from pargue.encode import _grounded_constellation
+from pargue.engine import _compiled
 from pargue.semiring import model_masks
 
 from conftest import frameworks
@@ -40,6 +42,10 @@ DIRECT = [Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST]
 
 def model_set(f, names):
     return {tuple(sorted(m)) for m in models(f, names)}
+
+
+def circuit_model_set(c):
+    return {tuple(v for i, v in enumerate(c.variables) if m >> i & 1) for m in model_masks(c)}
 
 
 def projected_model_set(f, names):
@@ -165,21 +171,24 @@ def extension_masks(af, semantics):
 
 
 class TestEnumerativeEncoding:
-    """One mask-set encoder: GR's theory through ``encode``, PR's through
-    ``engine._theory``, and any listed set of extensions."""
+    """One mask-set builder: PR's theory and GR's constellation through
+    ``engine._compiled``, and any listed set of extensions."""
 
     def test_grounded_single_full_conjunction(self, example_af):
         f = encode(example_af, Semantics.GR)
         assert model_set(f, "abcd") == {("a", "b", "d")}
 
     def test_chain_preferred(self, chain_af):
-        f = _theory(chain_af, Semantics.PR)
-        assert model_set(f, "abc") == {("a", "c")}
+        c = _compiled(chain_af, Semantics.PR, None)[0]
+        assert circuit_model_set(c) == {("a", "c")}
 
     def test_no_extension_is_false(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
-        assert encode_enumerative(af.arguments, extension_masks(af, Semantics.ST)) is FALSE
-        assert encode_enumerative(("a", "b"), []) is FALSE
+        for c in (
+            encode_enumerative(af.arguments, extension_masks(af, Semantics.ST)),
+            encode_enumerative(("a", "b"), []),
+        ):
+            assert c.nodes == (Node("false"),) and c.root == 0
 
     @given(
         st.integers(0, 5).flatmap(
@@ -189,9 +198,10 @@ class TestEnumerativeEncoding:
     def test_models_are_the_masks(self, case):
         n, masks = case
         names = [f"v{i}" for i in range(n)]
-        f = encode_enumerative(names, masks)
-        assert {sum(1 << names.index(x) for x in m) for m in models(f, names)} == masks
-        assert (f is FALSE) == (not masks)
+        c = encode_enumerative(names, masks)
+        assert c.variables == tuple(names)
+        assert set(model_masks(c)) == masks
+        assert (c.nodes[c.root].kind == "false") == (not masks)
 
     def test_masks_outside_the_names_rejected(self):
         with pytest.raises(InputError, match="below 2\\*\\*2"):
@@ -199,20 +209,30 @@ class TestEnumerativeEncoding:
         with pytest.raises(InputError):
             encode_enumerative(("a", "b"), [-1])
 
+    def test_malformed_names_and_masks_rejected(self):
+        # A repeated name would be decided twice, so the circuit would not be
+        # decomposable.
+        with pytest.raises(InputError, match="distinct strings"):
+            encode_enumerative(("a", "a"), [1])
+        with pytest.raises(InputError, match="distinct strings"):
+            encode_enumerative(("a", 1), [1])
+        for mask in (1.0, "1", None):
+            with pytest.raises(InputError, match="integers"):
+                encode_enumerative(("a", "b"), [mask])
+
     @given(frameworks())
     def test_matches_direct_encodings(self, af):
         for semantics in DIRECT:
             direct = model_set(encode(af, semantics), af.arguments)
-            listed = model_set(
-                encode_enumerative(af.arguments, extension_masks(af, semantics)),
-                af.arguments,
+            listed = circuit_model_set(
+                encode_enumerative(af.arguments, extension_masks(af, semantics))
             )
             assert direct == listed
 
     @given(frameworks())
     def test_every_semantics(self, af):
         for semantics in Semantics:
-            got = model_set(_theory(af, semantics), af.arguments)
+            got = circuit_model_set(_compiled(af, semantics, None)[0])
             want = {tuple(sorted(e)) for e in extensions(af, semantics)}
             assert got == want
 
@@ -236,8 +256,10 @@ class TestEnumerativeEncoding:
         names = [f"n{i:04d}" for i in range(sys.getrecursionlimit() + 100)]
         f = encode(ArgumentationFramework(names), Semantics.GR)
         assert f is and_(var(name) for name in names)
+        # A listed set meets the compile cap before anything is built.
         masks = [(1 << len(names)) - 1, 1]
-        assert satisfies(encode_enumerative(names, masks), {names[0]})
+        with pytest.raises(CapacityError, match=f"at most 25 variables, got {len(names)}"):
+            encode_enumerative(names, masks)
 
 
 class TestConstellationEncoding:
@@ -245,8 +267,10 @@ class TestConstellationEncoding:
         # c is grounded-accepted in subgraphs {c}, {a,b,c}, {a,c}... checked
         # against the definitional per-subgraph route below; the frozen model
         # set here is the independent expectation.
-        f = encode_constellation(chain_af, Semantics.GR, "c")
-        assert model_set(f, "abc") == {("c",), ("a", "c"), ("a", "b", "c")}
+        c = _compiled(chain_af, Semantics.GR, "c")[0]
+        assert circuit_model_set(c) == {("c",), ("a", "c"), ("a", "b", "c")}
+        with pytest.raises(InputError, match="encode_enumerative"):
+            encode_constellation(chain_af, Semantics.GR, "c")
 
     def test_unattacked_argument_all_subgraphs_containing_it(self, example_af):
         f = encode_constellation(example_af, Semantics.AD, "a")
@@ -269,11 +293,11 @@ class TestConstellationEncoding:
         names = [f"x{i:02d}" for i in range(21)]
         af = ArgumentationFramework(names, [("x00", "x01"), ("x01", "x00"), ("x02", "x03")])
         # The cone of x00 is {x00, x01}: only x00 present, or both, accept it.
-        f = encode_constellation(af, Semantics.GR, "x00")
-        assert model_set(f, ["x00", "x01"]) == {("x00",)}
+        cone, masks = _grounded_constellation(af, "x00")
+        assert (cone, masks) == (("x00", "x01"), [0b01])
         chain = ArgumentationFramework(names, list(zip(names[1:], names)))
         with pytest.raises(CapacityError):
-            encode_constellation(chain, Semantics.GR, "x00")
+            _grounded_constellation(chain, "x00")
         graph = ProbabilisticGraph(af, {name: 0.25 + i / 100 for i, name in enumerate(names)})
         # x00 defends itself against x01, so every subgraph holding it accepts it.
         result = prob_c(graph, Semantics.AD, "x00")
