@@ -1,6 +1,6 @@
 """Probabilistic acceptance queries over abstract argumentation frameworks.
 
-The pipeline: encode a semantics as a propositional theory, compile it once
+The pipeline: encode a semantics as a clause set, compile it once
 into a smooth deterministic decomposable circuit, then answer many queries
 by evaluating that circuit under a commutative semiring. Point labels give
 exact probabilities; beta labels additionally carry variance through a
@@ -23,6 +23,7 @@ from .beta import (
 )
 from .circuit import (
     Circuit,
+    ClauseSet,
     Node,
     ValidationReport,
     compile_formula,
@@ -43,7 +44,6 @@ from .engine import (
     prob_c,
 )
 from .errors import CapacityError, InputError, ParseError, PargueError
-from .formula import FALSE, TRUE, Formula, and_, lit, models, not_, or_, satisfies, var
 from .propagate import CovarianceSpec, load_covariance_csv, propagate
 from .results import QueryResult
 from .semiring import COUNTING, PROBABILITY, Labelling, Semiring, evaluate
@@ -57,11 +57,10 @@ __all__ = [
     "COUNTING",
     "CapacityError",
     "Circuit",
+    "ClauseSet",
     "CovarianceSpec",
     "DEFAULT_LABEL_CONFIG",
     "EPISTEMIC_LABELS",
-    "FALSE",
-    "Formula",
     "FuzzyLabel",
     "InputError",
     "LabelConfig",
@@ -75,9 +74,7 @@ __all__ = [
     "QueryResult",
     "Semantics",
     "Semiring",
-    "TRUE",
     "ValidationReport",
-    "and_",
     "attackers",
     "brute_force_prob",
     "brute_force_prob_c",
@@ -90,22 +87,16 @@ __all__ = [
     "extensions",
     "format_nnf",
     "from_fuzzy",
-    "lit",
     "load_covariance_csv",
     "mc_oracle",
     "model_count",
-    "models",
     "moment_match",
     "moments",
-    "not_",
-    "or_",
     "prob",
     "prob_c",
     "propagate",
-    "satisfies",
     "subgraph",
     "to_fuzzy",
     "validate",
-    "var",
     "write_nnf",
 ]

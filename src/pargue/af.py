@@ -220,6 +220,21 @@ def _cone_mask(af: ArgumentationFramework, argument: str) -> int:
     return cone
 
 
+def _acyclic(af: ArgumentationFramework, universe: int) -> bool:
+    """Whether the subgraph induced by ``universe`` has no attack cycle, a
+    self-attack included: peeling off its unattacked arguments empties it."""
+    left = universe
+    while left:
+        unattacked = 0
+        for i in _bits(left):
+            if not af._attacker_masks[i] & left:
+                unattacked |= 1 << i
+        if not unattacked:
+            return False
+        left ^= unattacked
+    return True
+
+
 def subgraph(af: ArgumentationFramework, members: Iterable[str]) -> ArgumentationFramework:
     """Framework induced by a subset of the arguments."""
     mask = af._mask(members)

@@ -1,26 +1,27 @@
-"""Compilation of formulas and listed model sets into smooth d-DNNF circuits.
+"""Compilation of clause sets and listed model sets into smooth d-DNNF circuits.
 
-A formula is converted once into clauses held as integer bit masks, and
-compiled by a component-caching search over them in the manner of sharpSAT
-(Thurley, SAT 2006) and of decision-DNNF compilers (Darwiche, ECAI 2004;
-Lagniez & Marquis, IJCAI 2017). After each decision it assigns unit
-literals, splits the residual clauses into components that share no
-variable, and decides, in each, the kept variable in the most residual
-clauses, the least name on ties. A cache keyed on each component's clauses
-and variables turns shared subproblems into shared circuit nodes.
-Disjunctions always branch on a decision variable, which gives determinism
-by construction; decomposability falls out of conditioning and splitting;
-smoothness comes from padding, during the same search, each branch with
-(v or not v) gap nodes for the variables that simplification dropped.
+A clause set (``ClauseSet``) holds each clause as a pair of integer bit
+masks, the positive and the negative variables, and is compiled by a
+component-caching search in the manner of sharpSAT (Thurley, SAT 2006) and
+of decision-DNNF compilers (Darwiche, ECAI 2004; Lagniez & Marquis, IJCAI
+2017). After each decision it assigns unit literals, splits the residual
+clauses into components that share no variable, and decides, in each, the
+kept variable in the most residual clauses, the lowest bit on ties. A cache
+keyed on each component's clauses and variables turns shared subproblems
+into shared circuit nodes. Disjunctions always branch on a decision
+variable, which gives determinism by construction; decomposability falls
+out of conditioning and splitting; smoothness comes from padding, during
+the same search, each branch with (v or not v) gap nodes for the variables
+that simplification dropped.
 
-Variables named to be eliminated are projected away existentially, in the
-manner of projected model counting (Lagniez & Marquis, AAAI 2019), within
-the same search: kept variables are decided first; eliminated variables are
-assigned, not emitted, when a clause makes them unit or they occur with one
-polarity only; components are split on all variables, eliminated ones
-included; and a component that mentions no kept variable becomes the true
-or the false node by a satisfiability check. Only kept variables make
-disjunctions, so the circuit stays deterministic.
+The names past a clause set's declared ones are projected away
+existentially, in the manner of projected model counting (Lagniez &
+Marquis, AAAI 2019), within the same search: kept variables are decided
+first; eliminated variables are assigned, not emitted, when a clause makes
+them unit or they occur with one polarity only; components are split on
+all variables, eliminated ones included; and a component that mentions no
+kept variable becomes the true or the false node by a satisfiability check.
+Only kept variables make disjunctions, so the circuit stays deterministic.
 
 A listed model set (``encode_enumerative``) needs no search: deciding its
 names in order, equal tails sharing a node, builds a reduced ordered
@@ -39,7 +40,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .af import _bits
 from .errors import CapacityError, InputError
-from .formula import FALSE, TRUE, And, Formula, Lit, Or
 
 MAX_COMPILE_VARIABLES = 25
 # Determinism validation builds a disjunction's truth table up to this width.
@@ -72,12 +72,51 @@ class Circuit:
         return sum(len(n.children) for n in self.nodes)
 
 
+@dataclass(frozen=True)
+class ClauseSet:
+    """A propositional theory in clause form, the input of ``compile_formula``.
+
+    Bit i of a mask stands for ``names[i]``. The first ``declared`` names are
+    the circuit's variables; the rest are projected away. Each clause is a
+    ``(positive, negative)`` pair of masks, satisfied when a positive
+    variable is true or a negative one false; the empty clause ``(0, 0)`` is
+    false. Tautologies and repeated clauses are dropped on construction.
+    """
+
+    names: tuple[str, ...]
+    declared: int
+    clauses: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        names = tuple(self.names)
+        if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
+            raise InputError(f"names must be distinct strings, got {list(names)!r}")
+        if not isinstance(self.declared, int) or not 0 <= self.declared <= len(names):
+            raise InputError(f"declared must count 0 to {len(names)} names, got {self.declared!r}")
+        kept: dict[tuple[int, int], None] = {}
+        used = 0
+        try:
+            for pos, neg in self.clauses:
+                used |= pos | neg
+                if not pos & neg:
+                    kept[pos, neg] = None
+        except (TypeError, ValueError):
+            raise InputError("clauses must be (positive, negative) pairs of integer masks") from None
+        if used < 0 or used >> len(names):
+            raise InputError(f"clause masks must be non-negative integers below 2**{len(names)}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "clauses", tuple(kept))
+
+
 class _Builder:
-    """Append-only node arena with structural hash-consing."""
+    """Append-only node arena with structural hash-consing. Literal and gap
+    nodes are also interned on their variable, so a repeat builds no node."""
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._memo: dict[Node, int] = {}
+        self._literals: dict[tuple[str, bool], int] = {}
+        self._gaps: dict[str, int] = {}
 
     def _add(self, node: Node) -> int:
         index = self._memo.get(node)
@@ -94,7 +133,21 @@ class _Builder:
         return self._add(Node("false"))
 
     def literal(self, var: str, positive: bool) -> int:
-        return self._add(Node("lit", var=var, positive=positive))
+        index = self._literals.get((var, positive))
+        if index is None:
+            node = Node("lit", var=var, positive=positive)
+            index = self._literals[var, positive] = self._add(node)
+        return index
+
+    def gap(self, var: str) -> int:
+        """The (v or not v) node, so a node mentions a variable that
+        simplification dropped."""
+        index = self._gaps.get(var)
+        if index is None:
+            index = self._gaps[var] = self.disj(
+                [self.literal(var, True), self.literal(var, False)], decision=var
+            )
+        return index
 
     def conj(self, children: Iterable[int]) -> int:
         flat: list[int] = []
@@ -139,48 +192,26 @@ def _require_width(variables: int, eliminated: int = 0) -> None:
             raise CapacityError(f"compilation supports at most {MAX_COMPILE_VARIABLES} {kind}, got {count}")
 
 
-def compile_formula(
-    f: Formula, variables: Iterable[str] | None = None, eliminate: Iterable[str] = ()
-) -> Circuit:
-    """Compile to a smooth deterministic decomposable circuit.
+def compile_formula(theory: ClauseSet) -> Circuit:
+    """Compile a clause set to a smooth deterministic decomposable circuit
+    over its declared names.
 
-    ``variables`` widens the declared variable set beyond vars(f); the root
-    is padded with gap nodes for the extras, so model counts range over the
-    full set. ``eliminate`` names variables to project away: the circuit's
-    models are the assignments to the declared variables that extend to a
-    model of ``f``. At most ``MAX_COMPILE_VARIABLES`` declared variables, and
-    as many eliminated ones, are compiled; auxiliaries are not counted.
+    The names past the declared ones are projected away: the circuit's
+    models are the assignments to the declared names that extend to a model
+    of the clauses. At most ``MAX_COMPILE_VARIABLES`` declared names, and as
+    many others, are compiled.
 
-    The formula is converted once into clauses: a disjunction distributes
-    over its one conjunction child, and every other conjunction child of a
-    disjunction gets an eliminated auxiliary ``t`` with the clauses of
-    ``t -> child``. The search then caches each component on its
-    (clause-id mask, variable mask) pair: every live clause of a component
-    is the original clause cut down to the component's variables, so the
-    pair names the residual. Eliminated variables are assigned by
-    propagation or settled by an iterative satisfiability check, never in a
-    frame of their own, so the search recurses at most two frames per
-    decided kept variable, plus one.
+    The search caches each component on its (clause-id mask, variable mask)
+    pair: every live clause of a component is the original clause cut down
+    to the component's variables, so the pair names the residual. Eliminated
+    variables are assigned by propagation or settled by an iterative
+    satisfiability check, never in a frame of their own, so the search
+    recurses at most two frames per decided kept variable, plus one.
     """
-    hidden = frozenset(eliminate)
-    kept = f.vars - hidden
-    declared = tuple(sorted(set(variables))) if variables is not None else tuple(sorted(kept))
-    extra = kept - set(declared)
-    if extra:
-        raise InputError(f"formula mentions undeclared variables {sorted(extra)}")
-    both = hidden.intersection(declared)
-    if both:
-        raise InputError(f"variables both kept and eliminated: {sorted(both)}")
-    eliminated = sorted(f.vars & hidden)
-    _require_width(len(declared), len(eliminated))
-
+    declared = theory.names[: theory.declared]
+    _require_width(len(declared), len(theory.names) - len(declared))
     builder = _Builder()
-    if f is FALSE:
-        root = builder.false()
-    else:
-        bit = {name: i for i, name in enumerate((*declared, *eliminated))}
-        clauses = [] if f is TRUE else _clauses(f, bit)  # adds the auxiliaries to bit
-        root = _search(builder, clauses, len(bit), declared)
+    root = _search(builder, theory.clauses, len(theory.names), declared)
     nodes = _reachable(builder.nodes, root)
     return Circuit(nodes, len(nodes) - 1, declared)
 
@@ -222,8 +253,8 @@ def encode_enumerative(
                 branches = []
                 for positive, (child, mentions) in ((True, high), (False, low)):
                     if child != false:  # a branch with no model gets no gap nodes
-                        gaps = (names[v] for v in _bits(span & ~(1 << i | mentions)))
-                        parts = [builder.literal(names[i], positive), child, *_gaps(builder, gaps)]
+                        gaps = (builder.gap(names[v]) for v in _bits(span & ~(1 << i | mentions)))
+                        parts = [builder.literal(names[i], positive), child, *gaps]
                         branches.append(builder.conj(parts))
                 hit = builder.disj(branches, decision=names[i]), span
             memo[i, tails] = hit
@@ -231,63 +262,17 @@ def encode_enumerative(
 
     root, span = build(0, tails)
     mentioned = {names[v] for v in _bits(span)}
-    root = builder.conj([root, *_gaps(builder, (v for v in declared if v not in mentioned))])
+    root = builder.conj([root, *(builder.gap(v) for v in declared if v not in mentioned)])
     nodes = _reachable(builder.nodes, root)
     return Circuit(nodes, len(nodes) - 1, declared)
 
 
-def _gaps(builder: _Builder, names: Iterable[str]) -> list[int]:
-    """A (v or not v) gap node per name, so a node mentions a variable that
-    simplification dropped."""
-    return [
-        builder.disj([builder.literal(v, True), builder.literal(v, False)], decision=v)
-        for v in names
-    ]
-
-
-def _clauses(f: Formula, bit: dict) -> list[tuple[int, int]]:
-    """``f``, which is no constant, as clauses of (positive, negative)
-    variable bit masks, with bits from ``bit``. A conjunction child of a
-    disjunction, other than its only one, becomes an auxiliary variable
-    ``t``, keyed in ``bit`` by that child and numbered after the others,
-    with the clauses of ``t -> child``."""
-    out: list[tuple[int, int]] = []
-
-    def add(g: Formula, pos: int, neg: int) -> None:
-        # Append the clauses of (pos or neg) or g.
-        if isinstance(g, And):
-            for c in g.children:
-                add(c, pos, neg)
-            return
-        conjunctions = []
-        for c in g.children if isinstance(g, Or) else (g,):
-            if not isinstance(c, Lit):
-                conjunctions.append(c)
-            elif c.positive:
-                pos |= 1 << bit[c.var]
-            else:
-                neg |= 1 << bit[c.var]
-        if len(conjunctions) == 1:
-            add(conjunctions[0], pos, neg)
-            return
-        for c in conjunctions:
-            t = bit.get(c)
-            if t is None:
-                t = bit[c] = len(bit)
-                add(c, 0, 1 << t)
-            pos |= 1 << t
-        out.append((pos, neg))
-
-    add(f, 0, 0)
-    return [(p, n) for p, n in dict.fromkeys(out) if not p & n]
-
-
 def _search(
-    builder: _Builder, clauses: list[tuple[int, int]], width: int, declared: Sequence[str]
+    builder: _Builder, clauses: Sequence[tuple[int, int]], width: int, declared: Sequence[str]
 ) -> int:
     """The root node for ``clauses`` over ``width`` variable bits, of which
-    the low ``len(declared)`` are the declared variables in name order and
-    the rest are eliminated."""
+    the low ``len(declared)`` are the declared variables and the rest are
+    eliminated."""
     kept = (1 << len(declared)) - 1
     hidden = ((1 << width) - 1) ^ kept
     pos_occ, neg_occ = [0] * width, [0] * width
@@ -395,7 +380,7 @@ def _search(
                 return false
             parts.append(node)
             covered |= variables
-        parts += _gaps(builder, (declared[v] for v in _bits(span & ~covered)))
+        parts += (builder.gap(declared[v]) for v in _bits(span & ~covered))
         return builder.conj(parts)
 
     def component(clauses: int, variables: int) -> int:
@@ -424,6 +409,8 @@ def _search(
     on = off = 0
     for p, n in clauses:
         if not (p | n) & (p | n) - 1:
+            if not p | n:  # the empty clause
+                return false
             on |= p
             off |= n
     return expand((1 << len(clauses)) - 1, (1 << width) - 1, kept, 0, on, off)

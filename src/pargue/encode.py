@@ -1,12 +1,17 @@
-"""Propositional theories whose models are exactly a framework's extensions.
+"""Clause sets whose models are exactly a framework's extensions.
 
-Conflict-free, admissible, complete and stable semantics have direct
-structural encodings. Grounded has one extension, found by its fixed point,
-so its theory is the conjunction of one literal per argument. Preferred is
-not closed under the model set of any such formula shape: PR's extensions
-are the subset-maximal models of the compiled complete-semantics circuit,
-since the preferred extensions are exactly the maximal complete ones (Dung
-1995), and the engine builds their listed set straight into a circuit with
+Every theory is written straight into a ``ClauseSet`` of bit-mask clauses,
+bit i for the framework's i-th argument id, which is what the compiler
+searches. Conflict-free, admissible and stable semantics are clauses as
+written. Complete semantics adds reinstatement: an argument attacked by b,
+whose attackers C_b include no member, must be out, which takes one
+eliminated auxiliary per distinct attacker set C_b wherever a clause needs
+two or more of them. Grounded has one extension, found by its fixed point,
+so its theory is one unit clause per argument. Preferred is not closed
+under the model set of any such theory: PR's extensions are the
+subset-maximal models of the compiled complete-semantics circuit, since the
+preferred extensions are exactly the maximal complete ones (Dung 1995), and
+the engine builds their listed set straight into a circuit with
 ``circuit.encode_enumerative``, so ``encode`` has no PR case.
 
 The constellation encoding describes, for one query argument, every induced
@@ -16,15 +21,15 @@ argument depends only on the part of it inside the argument's relevance
 cone, the argument and every argument with an attack path to it: an
 admissible set holding the argument stays admissible when cut down to the
 cone, and for GR this is directionality (Baroni & Giacomin, AIJ 2007).
-Those constellations are therefore encoded over the cone's subgraph alone,
-and the arguments outside it stay free; the engine compiles them over all
-of the framework's ids, so the free ones become gap nodes. ST keeps the
-whole framework, since a stable extension must attack every present
-argument outside it. Under AD, CO, PR and ST the theory is existential:
-beside the presence variables (the argument ids) it has one membership
-variable per argument (``_member``), for an extension of the present
-subgraph that holds the query argument; compiling it with the membership
-variables eliminated leaves the accepting subgraphs. GR has no such form:
+Those constellations therefore constrain the cone's arguments alone, and
+the arguments outside it stay free, so the compiler pads them as gap
+nodes. ST keeps the whole framework, since a stable extension must attack
+every present argument outside it. Under AD, CO, PR and ST the theory is
+existential: beside the presence variables (the framework's ids, which are
+declared) it has one membership variable per constrained argument
+(``_member``), for an extension of the present subgraph that holds the
+query argument; compiling it projects the membership variables away and
+leaves the accepting subgraphs. GR has no such form:
 ``_grounded_constellation`` lists them from a scan of every cone subgraph's
 fixed point (``_accepted``), a table that arguments with one cone share.
 
@@ -41,15 +46,15 @@ from functools import lru_cache, reduce
 from .af import (
     ArgumentationFramework,
     Semantics,
+    _bits,
     _cone_mask,
     _extension_masks,
     _semantics,
-    attackers,
     extensions,
     subgraph,
 )
+from .circuit import ClauseSet
 from .errors import CapacityError, InputError
-from .formula import FALSE, Formula, and_, lit, not_, or_, var
 
 # The acceptance table visits every subgraph of the framework it is built
 # for: 2^n fixed points under GR, where GR's constellation builds it for the
@@ -58,54 +63,77 @@ from .formula import FALSE, Formula, and_, lit, not_, or_, var
 MAX_CONSTELLATION_ARGUMENTS = 20
 
 
-def _implies(p: Formula, q: Formula) -> Formula:
-    return or_((not_(p), q))
+def _conflict_free(af: ArgumentationFramework) -> list[tuple[int, int]]:
+    """No attack between two members: not (s and t) per attack (s, t)."""
+    return [
+        (0, 1 << s | 1 << t) for t, sources in enumerate(af._attacker_masks) for s in _bits(sources)
+    ]
 
 
-def _iff(p: Formula, q: Formula) -> Formula:
-    return and_((_implies(p, q), _implies(q, p)))
+def _reinstatement(af: ArgumentationFramework) -> tuple[list[tuple[int, int]], int]:
+    """The clauses of x <-> (for every attacker b of x, some member attacks
+    b), with their auxiliaries, and the number of auxiliaries. Auxiliary k,
+    bit n + k, stands for "no member attacks b" for one distinct attacker
+    set C_b; one is made only for a clause that needs two or more."""
+    n = len(af.arguments)
+    attackers = af._attacker_masks
+    auxiliary: dict[int, int] = {}
+    clauses = []
+    for x, attacked_by in enumerate(attackers):
+        p = 1 << x
+        defence = {attackers[b] for b in _bits(attacked_by)}
+        if 0 in defence:  # an unattacked attacker: x is out
+            clauses.append((0, p))
+            continue
+        clauses += ((c, p) for c in defence)  # x -> some member attacks each b
+        if p in defence:  # some b has x as its only attacker, so the clause holds
+            continue
+        # (every b is attacked by a member) -> x, one disjunct per C_b.
+        single = [c for c in defence if not c & c - 1]
+        multiple = [c for c in defence if c & c - 1]
+        negative = reduce(int.__or__, single, 0)
+        if len(multiple) == 1:
+            clauses += ((p, negative | 1 << c) for c in _bits(multiple[0]))
+            continue
+        positive = p
+        for c in multiple:
+            t = auxiliary.get(c)
+            if t is None:
+                t = auxiliary[c] = 1 << n + len(auxiliary)
+                clauses += ((0, t | 1 << a) for a in _bits(c))  # t -> no member in C_b
+            positive |= t
+        clauses.append((positive, negative))
+    return clauses, len(auxiliary)
 
 
-def _no_attacker(af: ArgumentationFramework, name: str) -> Formula:
-    return and_(lit(b, False) for b in sorted(attackers(af, name)))
-
-
-def _some_defender(af: ArgumentationFramework, name: str) -> Formula:
-    # One disjunct per attacker; an unattacked attacker contributes an empty
-    # disjunction, i.e. false, which is what makes defence impossible.
-    return and_(
-        or_(var(c) for c in sorted(attackers(af, b)))
-        for b in sorted(attackers(af, name))
-    )
-
-
-def encode(af: ArgumentationFramework, semantics: Semantics) -> Formula:
+def encode(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
     """Theory of CF, AD, CO or ST by structure, and of GR by its fixed point."""
     semantics = _semantics(semantics)
+    n, attackers, auxiliaries = len(af.arguments), af._attacker_masks, 0
     if semantics is Semantics.CF:
-        return and_(
-            or_((lit(source, False), lit(target, False)))
-            for source, target in sorted(af.attacks)
-        )
-    if semantics is Semantics.AD:
-        parts = []
-        for name in af.arguments:
-            parts.append(_implies(var(name), _no_attacker(af, name)))
-            parts.append(_implies(var(name), _some_defender(af, name)))
-        return and_(parts)
-    if semantics is Semantics.ST:
-        return and_(_iff(var(name), _no_attacker(af, name)) for name in af.arguments)
-    if semantics is Semantics.CO:
-        reinstatement = (
-            _iff(var(name), _some_defender(af, name)) for name in af.arguments
-        )
-        return and_((encode(af, Semantics.CF), *reinstatement))
-    if semantics is Semantics.GR:
+        clauses = _conflict_free(af)
+    elif semantics is Semantics.AD:
+        clauses = _conflict_free(af)
+        for x, attacked_by in enumerate(attackers):
+            defence = [attackers[b] for b in _bits(attacked_by)]
+            clauses += [(0, 1 << x)] if 0 in defence else ((c, 1 << x) for c in defence)
+    elif semantics is Semantics.ST:
+        clauses = _conflict_free(af)
+        clauses += ((attacked_by | 1 << x, 0) for x, attacked_by in enumerate(attackers))
+    elif semantics is Semantics.CO:
+        reinstatement, auxiliaries = _reinstatement(af)
+        clauses = _conflict_free(af) + reinstatement
+    elif semantics is Semantics.GR:
         (grounded,) = extensions(af, semantics)
-        return and_(lit(name, name in grounded) for name in af.arguments)
-    raise InputError(
-        f"no direct encoding for {semantics.value}; list its extensions with encode_enumerative"
-    )
+        clauses = [
+            (1 << i, 0) if a in grounded else (0, 1 << i) for i, a in enumerate(af.arguments)
+        ]
+    else:
+        raise InputError(
+            f"no direct encoding for {semantics.value}; list its extensions with encode_enumerative"
+        )
+    names = (*af.arguments, *(f"t.{k}" for k in range(auxiliaries)))
+    return ClauseSet(names, n, tuple(clauses))
 
 
 # Keyed on the framework the table is built for: an argument's cone subgraph
@@ -147,49 +175,50 @@ def _member(name: str) -> str:
 
 def encode_constellation(
     af: ArgumentationFramework, semantics: Semantics, argument: str
-) -> Formula:
+) -> ClauseSet:
     """Theory of the induced subgraphs that credulously accept the argument.
 
-    Under CF the argument's singleton is conflict-free unless it attacks
-    itself, so the theory is the argument itself, or FALSE. Every other
-    semantics but ST is encoded on the subgraph of the argument's relevance
-    cone, and its theory leaves the arguments outside the cone free. GR has
-    no theory: its accepting subgraphs are listed by
-    ``_grounded_constellation``. Under AD, CO, PR and ST the models,
-    projected onto the argument ids, name the arguments present in one
-    accepting subgraph: the membership variables describe an extension of
-    that subgraph holding the argument, which is conflict-free and inside
-    the subgraph; under AD (and CO and PR, whose credulous acceptance is the
-    same, Dung 1995) it attacks every present attacker of a member, and
-    under ST every present non-member.
+    The framework's ids are declared, then one membership variable per
+    constrained argument follows, sorted. Under CF the argument's singleton
+    is conflict-free unless it attacks itself, so the theory is the argument
+    itself, or false. Every other semantics but ST constrains the arguments
+    of the argument's relevance cone alone. GR has no theory: its accepting
+    subgraphs are listed by ``_grounded_constellation``. Under AD, CO, PR and
+    ST the models, projected onto the argument ids, name the arguments
+    present in one accepting subgraph: the membership variables describe an
+    extension of that subgraph holding the argument, which is conflict-free
+    and inside the subgraph; under AD (and CO and PR, whose credulous
+    acceptance is the same, Dung 1995) it attacks every present attacker of
+    a member, and under ST every present non-member.
     """
     semantics = _semantics(semantics)
-    af._require(argument)
+    index = af._require(argument)
+    n, attackers = len(af.arguments), af._attacker_masks
     if semantics is Semantics.CF:
-        return FALSE if (argument, argument) in af.attacks else var(argument)
+        clause = (0, 0) if attackers[index] >> index & 1 else (1 << index, 0)
+        return ClauseSet(af.arguments, n, (clause,))
     if semantics is Semantics.GR:
         raise InputError(
             "no constellation theory for GR; list its accepting subgraphs with encode_enumerative"
         )
-    if semantics is not Semantics.ST:
-        af = subgraph(af, af._members(_cone_mask(af, argument)))
-    member = {name: var(_member(name)) for name in af.arguments}
-    parts = [member[argument]]
-    parts += (_implies(member[x], var(x)) for x in af.arguments)
-    parts += (
-        or_((not_(member[s]), not_(member[t]))) for s, t in sorted(af.attacks)
-    )
-    if semantics is Semantics.ST:
-        parts += (
-            _implies(var(x), or_((member[x], *(member[b] for b in sorted(attackers(af, x))))))
-            for x in af.arguments
-        )
-    else:
-        parts += (
-            _implies(
-                and_((member[c], var(b))),
-                or_(member[d] for d in sorted(attackers(af, b))),
-            )
-            for b, c in sorted(af.attacks)
-        )
-    return and_(parts)
+    # The cone holds every attacker of its members, so no mask below needs cutting.
+    scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
+    inside = list(_bits(scope))
+    member = {x: 1 << n + k for k, x in enumerate(inside)}
+
+    def members(mask: int) -> int:
+        return reduce(int.__or__, (member[x] for x in _bits(mask)), 0)
+
+    clauses = [(member[index], 0)]
+    for x in inside:
+        m, attacked_by = member[x], attackers[x]
+        clauses.append((1 << x, m))  # a member is present
+        clauses += ((0, m | member[s]) for s in _bits(attacked_by))  # members conflict-free
+        if semantics is Semantics.ST:
+            # A present argument is a member or attacked by one.
+            clauses.append((m | members(attacked_by), 1 << x))
+        else:
+            # A present attacker b of a member is attacked by a member.
+            clauses += ((members(attackers[b]), m | 1 << b) for b in _bits(attacked_by))
+    names = (*af.arguments, *(_member(af.arguments[x]) for x in inside))
+    return ClauseSet(names, n, tuple(clauses))

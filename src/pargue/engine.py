@@ -10,25 +10,28 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   for the total probability of the subgraphs that credulously accept the
   argument. CO and PR share AD's constellation, compiled like ST's from an
   existential theory with its membership variables projected away; GR's
-  lists the subgraphs its fixed point accepts. AD's and GR's are encoded
-  on the argument's relevance cone alone, ST's on the whole framework,
-  and each is compiled over every argument, so model counts range over
-  all of them. CF's is answered in closed form, with no circuit: the
-  argument's own label, or 0 if it attacks itself.
+  lists the subgraphs its fixed point accepts. With no attack cycle every
+  subgraph has one complete extension, which is grounded, preferred and
+  stable (Dung 1995, Thm 30), so GR on an acyclic cone, and ST on an
+  acyclic framework, share AD's too. AD's and GR's are encoded on the
+  argument's relevance cone alone, ST's on the whole framework, and each
+  is compiled over every argument, so model counts range over all of
+  them. CF's is answered in closed form, with no circuit: the argument's
+  own label, or 0 if it attacks itself.
 
 Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
 compiled targets (a framework's theory, or one argument's constellation,
 which ``mc_oracle`` still compiles under CF too). PR's theory (the maximal
-models of the cached CO circuit) and GR's constellation are listed sets,
-built by ``encode_enumerative``; every other target is encoded and compiled
-in a formula session of its own, dropped once the circuit is built, so no
-formula outlives its target and a target compiles to the same circuit
-whatever the process built before. A point probability is a beta label of
-zero variance, so both label kinds get their moments from the one path in
-``propagate``; ``_query`` renders them into a ``QueryResult``. Every route
-has an independent oracle: enumeration over extensions or every subgraph
-(CF included) with the exact mixture variance, and a Monte-Carlo estimate.
+models of the cached CO circuit) and GR's constellation on a cyclic cone
+are listed sets, built by ``encode_enumerative``; every other target is
+encoded as a clause set and compiled, so a target compiles to the same
+circuit whatever the process built before. A point probability is a beta
+label of zero variance, so both label kinds get their moments from the one
+path in ``propagate``; ``_query`` renders them into a ``QueryResult``.
+Every route has an independent oracle: enumeration over extensions or every
+subgraph (CF included) with the exact mixture variance, and a Monte-Carlo
+estimate.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
-from .af import ArgumentationFramework, Semantics, _all_extension_masks, _semantics
+from .af import (
+    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask, _semantics
+)
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import (
     Circuit, _require_width, compile_formula, condition, encode_enumerative, model_count
 )
 from .encode import _accepted, _grounded_constellation, encode, encode_constellation
 from .errors import CapacityError, InputError
-from .formula import session
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
 from .propagate import CovarianceSpec, _answer, _with_covariance, propagate  # noqa: F401
@@ -120,24 +124,25 @@ def _compiled(
     argument's constellation. Always pass all three arguments, so that each
     target has one cache key.
     """
-    # Refused before encoding; a constellation eliminates one membership
-    # variable per argument, and the compiler's auxiliaries are not counted.
+    # Refused before encoding; a theory eliminates at most one membership
+    # variable or auxiliary per argument.
     _require_width(len(af.arguments))
+    if argument is not None and semantics in (Semantics.GR, Semantics.ST):
+        # With no attack cycle the constellation is AD's (Dung 1995, Thm 30):
+        # GR's needs its cone acyclic, ST's the whole framework.
+        scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
+        if _acyclic(af, scope):
+            return _compiled(af, Semantics.AD, argument)
     if argument is None and semantics is Semantics.PR:
         complete = _compiled(af, Semantics.CO, None)[0]
         circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
     elif argument is not None and semantics is Semantics.GR:
         names, masks = _grounded_constellation(af, argument)
         circuit = encode_enumerative(names, masks, af.arguments)
+    elif argument is None:
+        circuit = compile_formula(encode(af, semantics))
     else:
-        with session():  # holds what the encoders intern; the compiler builds none
-            if argument is None:
-                formula, hidden = encode(af, semantics), ()
-            else:
-                formula = encode_constellation(af, semantics, argument)
-                # Every variable beside the argument ids is a membership variable.
-                hidden = formula.vars.difference(af.arguments)
-            circuit = compile_formula(formula, variables=af.arguments, eliminate=hidden)
+        circuit = compile_formula(encode_constellation(af, semantics, argument))
     return circuit, model_count(circuit)
 
 
@@ -145,7 +150,8 @@ def _target(
     af: ArgumentationFramework, semantics: Semantics, argument: str, mode: str
 ) -> tuple[Circuit, int]:
     """The theory for ``prob``, the argument's constellation for ``prob-c``:
-    AD's under CO and PR too, whose credulous acceptance is AD's (Dung 1995)."""
+    AD's under CO and PR too, whose credulous acceptance is AD's (Dung 1995),
+    and under GR and ST where ``_compiled`` finds no attack cycle."""
     if mode == "prob":
         return _compiled(af, semantics, None)
     shared = Semantics.AD if semantics in (Semantics.CO, Semantics.PR) else semantics

@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked example, reference labels, random generators."""
+"""Shared fixtures: the worked example, reference labels, random generators,
+and the clause evaluator that compiled circuits are checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from pargue import ArgumentationFramework, BetaLabel
+from pargue import ArgumentationFramework, BetaLabel, ClauseSet
 
 settings.register_profile(
     "suite",
@@ -62,6 +63,55 @@ def frameworks(draw, min_args: int = 1, max_args: int = 6) -> ArgumentationFrame
     pairs = [(s, t) for s in names for t in names]
     attacks = draw(st.sets(st.sampled_from(pairs)))
     return ArgumentationFramework(names, attacks)
+
+
+def clause_set(kept, hidden, clauses) -> ClauseSet:
+    """The clause set declaring ``kept`` and eliminating ``hidden``, from
+    clauses given as lists of (name, positive) literals."""
+    names = (*kept, *hidden)
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    masks = []
+    for clause in clauses:
+        pos = neg = 0
+        for name, positive in clause:
+            if positive:
+                pos |= bit[name]
+            else:
+                neg |= bit[name]
+        masks.append((pos, neg))
+    return ClauseSet(names, len(kept), masks)
+
+
+def literal_clauses(names):
+    """Up to six clauses of up to three literals over ``names``; an empty
+    list is the empty clause."""
+    literal = st.tuples(st.sampled_from(list(names)), st.booleans())
+    return st.lists(st.lists(literal, max_size=3), max_size=6)
+
+
+@st.composite
+def clause_sets(draw, kept=("a", "b", "c", "d"), hidden=()) -> ClauseSet:
+    return clause_set(kept, hidden, draw(literal_clauses((*kept, *hidden))))
+
+
+def satisfies(clauses, on: int) -> bool:
+    """Whether the assignment setting exactly the bits of ``on`` true
+    satisfies every (positive, negative) mask clause."""
+    return all(pos & on or neg & ~on for pos, neg in clauses)
+
+
+def models(theory: ClauseSet) -> set[frozenset[str]]:
+    """Truth table: the sets of declared names that extend to a model of the
+    clauses over the eliminated names."""
+    declared, width = theory.declared, len(theory.names)
+    plain = [c for c in theory.clauses if not (c[0] | c[1]) >> declared]
+    rest = [c for c in theory.clauses if (c[0] | c[1]) >> declared]
+    return {
+        frozenset(theory.names[i] for i in range(declared) if on >> i & 1)
+        for on in range(1 << declared)
+        if satisfies(plain, on)
+        and any(satisfies(rest, on | h << declared) for h in range(1 << width - declared))
+    }
 
 
 def random_framework(

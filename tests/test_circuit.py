@@ -17,17 +17,15 @@ from hypothesis import strategies as st
 import pargue
 from pargue import (
     COUNTING,
-    FALSE,
     PROBABILITY,
-    TRUE,
     ArgumentationFramework,
     CapacityError,
     Circuit,
+    ClauseSet,
     InputError,
     Labelling,
     Node,
     Semantics,
-    and_,
     compile_formula,
     condition,
     encode,
@@ -35,25 +33,25 @@ from pargue import (
     evaluate,
     format_nnf,
     model_count,
-    models,
-    not_,
-    or_,
-    satisfies,
     validate,
-    var,
 )
+from pargue.af import _attacked_by, _characteristic_mask
 from pargue.semiring import model_masks
 
-from conftest import frameworks, passed
-from test_formula_encode import formulas
+from conftest import clause_set, clause_sets, frameworks, literal_clauses, models, passed
 
 NAMES = ("a", "b", "c", "d")
-# Three disjoint renamings of the names ``formulas()`` draws from.
+# Three disjoint blocks of names, each drawn from like ``clause_sets()``'s.
 BLOCKS = tuple(tuple(f"{name}{k}" for name in "abc") for k in range(3))
+TRUE = ClauseSet((), 0, ())
+
+
+def names_of(c, mask):
+    return frozenset(v for i, v in enumerate(c.variables) if mask >> i & 1)
 
 
 def compiled_example(example_af):
-    return compile_formula(encode(example_af, Semantics.AD), variables=NAMES)
+    return compile_formula(encode(example_af, Semantics.AD))
 
 
 def reached(c):
@@ -121,10 +119,10 @@ class TestCompile:
         c = compile_formula(TRUE)
         assert len(c.nodes) == 1 and c.nodes[c.root].kind == "true"
         assert model_count(c) == 1
-        assert model_count(compile_formula(TRUE, variables=NAMES)) == 16
+        assert model_count(compile_formula(ClauseSet(NAMES, 4, ()))) == 16
 
-        c = compile_formula(FALSE, variables=NAMES)
-        assert model_count(c) == 0
+        c = compile_formula(ClauseSet(NAMES, 4, [(0b1, 0), (0, 0)]))
+        assert c.nodes == (Node("false"),) and model_count(c) == 0
 
     def test_worked_example_count(self, example_af):
         assert model_count(compiled_example(example_af)) == 7
@@ -133,105 +131,110 @@ class TestCompile:
         assert compiled_example(example_af) == compiled_example(example_af)
 
     def test_undeclared_variable_rejected(self):
-        with pytest.raises(InputError):
-            compile_formula(var("a"), variables=["b"])
+        # A clause may only mention the set's names.
+        with pytest.raises(InputError, match="below 2\\*\\*1"):
+            compile_formula(ClauseSet(("a",), 1, [(0b10, 0)]))
+        for clause in ((-1, 0), (1.0, 0), ("a", 0), (1,), 1):
+            with pytest.raises(InputError):
+                compile_formula(ClauseSet(("a",), 1, [clause]))
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            compile_formula(TRUE, variables=[f"x{i}" for i in range(26)])
+            compile_formula(ClauseSet([f"x{i}" for i in range(26)], 26, ()))
 
     def test_capacity_counts_kept_variables(self):
-        wide = and_(or_((var(f"x{i}"), var(f"y{i}"))) for i in range(20))
         kept = [f"x{i}" for i in range(20)]
-        c = compile_formula(wide, variables=kept, eliminate=[f"y{i}" for i in range(20)])
-        assert model_count(c) == 2**20
+        hidden = [f"y{i}" for i in range(20)]
+        wide = clause_set(kept, hidden, [[(x, True), (y, True)] for x, y in zip(kept, hidden)])
+        assert model_count(compile_formula(wide)) == 2**20
 
     def test_capacity_counts_eliminated_variables(self):
         # An implication chain over 1,501 eliminated variables: deciding them
         # one by one would recurse past the interpreter's limit.
         hidden = [f"h{i:04d}" for i in range(1501)]
-        chain = [or_((not_(var(x)), var(y))) for x, y in zip(hidden, hidden[1:])]
+        chain = [[(x, False), (y, True)] for x, y in zip(hidden, hidden[1:])]
         with pytest.raises(CapacityError, match="at most 25 eliminated variables, got 1501"):
-            compile_formula(and_([var("a"), *chain]), eliminate=hidden)
-        wide = and_([var("a"), *chain[:24]])
-        assert model_count(compile_formula(wide, eliminate=hidden[:25])) == 1
+            compile_formula(clause_set(["a"], hidden, [[("a", True)], *chain]))
+        wide = clause_set(["a"], hidden[:25], [[("a", True)], *chain[:24]])
+        assert model_count(compile_formula(wide)) == 1
 
     def test_eliminated_variable_cannot_be_kept(self):
-        with pytest.raises(InputError):
-            compile_formula(var("a"), variables=["a"], eliminate=["a"])
-        with pytest.raises(InputError):
-            compile_formula(and_((var("a"), var("b"))), variables=["a"], eliminate=["c"])
+        # A name is kept or eliminated by its position, so it may occur once.
+        for names in (("a", "a"), ("a", 1)):
+            with pytest.raises(InputError, match="distinct strings"):
+                compile_formula(ClauseSet(names, 1, [(0b01, 0)]))
+        for declared in (-1, 3, 1.0):
+            with pytest.raises(InputError, match="declared"):
+                compile_formula(ClauseSet(("a", "b"), declared, ()))
 
     def test_unsatisfiable_residual_projects_to_false(self):
         # No unit to propagate: only deciding the eliminated c and d, after
         # the kept a, shows that the residual has no model.
-        c, d = var("c"), var("d")
-        clauses = [or_((x, y)) for x in (c, not_(c)) for y in (d, not_(d))]
-        f = or_((var("a"), and_(clauses)))
-        projected = compile_formula(f, variables=["a", "b"], eliminate=["c", "d"])
+        f = clause_set(
+            ["a", "b"],
+            ["c", "d"],
+            [[("a", True), ("c", x), ("d", y)] for x in (True, False) for y in (True, False)],
+        )
+        projected = compile_formula(f)
         assert model_count(projected) == 2
         assert sorted(model_masks(projected)) == [0b01, 0b11]
 
-    @given(formulas(), st.sets(st.sampled_from(NAMES)))
-    def test_projection_matches_truth_table(self, f, hidden):
-        kept = [name for name in NAMES if name not in hidden]
-        c = compile_formula(f, variables=kept, eliminate=hidden)
+    @given(st.integers(0, 4).flatmap(lambda k: clause_sets(NAMES[:k], NAMES[k:])))
+    def test_projection_matches_truth_table(self, f):
+        c = compile_formula(f)
         assert passed(validate(c))
-        got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
-        assert got == {m - hidden for m in models(f, NAMES)}
+        got = {names_of(c, m) for m in model_masks(c)}
+        assert got == models(f)
         assert model_count(c) == len(got)
 
     @given(
-        st.tuples(*(formulas(block) for block in BLOCKS)),
+        st.tuples(*(literal_clauses(block) for block in BLOCKS)),
         st.sets(st.sampled_from([name for block in BLOCKS for name in block])),
     )
     def test_split_conjunction_matches_truth_table(self, parts, hidden):
         # Conjuncts over disjoint name blocks share no variable, so the
         # compiler splits them; projection stays existential per component.
         names = sorted(name for block in BLOCKS for name in block)
-        f = and_(parts)
         kept = [name for name in names if name not in hidden]
-        c = compile_formula(f, variables=kept, eliminate=hidden)
+        f = clause_set(kept, sorted(hidden), [clause for part in parts for clause in part])
+        c = compile_formula(f)
         assert passed(validate(c))
-        got = {frozenset(kept[i] for i in range(len(kept)) if m >> i & 1) for m in model_masks(c)}
-        assert got == {m - hidden for m in models(f, names)}
+        got = {names_of(c, m) for m in model_masks(c)}
+        assert got == models(f)
         assert model_count(c) == len(got)
 
     def test_independent_conjuncts_compile_apart(self):
-        f = and_((or_((var("a"), var("b"))), or_((var("c"), var("d")))))
-        c = compile_formula(f, variables=NAMES)
+        f = clause_set(NAMES, (), [[("a", True), ("b", True)], [("c", True), ("d", True)]])
+        c = compile_formula(f)
         root = c.nodes[c.root]
         assert root.kind == "and"
         assert [c.nodes[i].decision for i in root.children] == ["a", "c"]
         assert model_count(c) == 9
 
-    @given(formulas())
+    @given(clause_sets())
     def test_counts_match_truth_table(self, f):
-        c = compile_formula(f, variables=NAMES)
-        assert model_count(c) == sum(1 for _ in models(f, NAMES))
+        assert model_count(compile_formula(f)) == len(models(f))
 
-    @given(formulas())
+    @given(clause_sets())
     def test_compiled_circuits_validate(self, f):
-        report = validate(compile_formula(f, variables=NAMES))
+        report = validate(compile_formula(f))
         assert passed(report)
 
     @given(frameworks())
     def test_theory_circuits_validate(self, af):
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
-            c = compile_formula(encode(af, semantics), variables=af.arguments)
+            c = compile_formula(encode(af, semantics))
             assert passed(validate(c))
-            assert model_count(c) == sum(
-                1 for _ in models(encode(af, semantics), af.arguments)
-            )
+            assert model_count(c) == len(models(encode(af, semantics)))
 
-    @given(formulas())
+    @given(clause_sets())
     def test_every_node_reachable(self, f):
-        assert_all_reachable(compile_formula(f, variables=NAMES))
+        assert_all_reachable(compile_formula(f))
 
     @given(frameworks())
     def test_every_theory_node_reachable(self, af):
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
-            assert_all_reachable(compile_formula(encode(af, semantics), variables=af.arguments))
+            assert_all_reachable(compile_formula(encode(af, semantics)))
 
     @pytest.mark.parametrize("n", [21, 23, 25])
     def test_wide_theory_circuits_validate(self, n, monkeypatch):
@@ -251,7 +254,7 @@ class TestCompile:
         attacks = rng.sample([(s, t) for s in names for t in names], round(1.5 * n))
         af = ArgumentationFramework(names, attacks)
         for semantics in (Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST):
-            c = compile_formula(encode(af, semantics), variables=names)
+            c = compile_formula(encode(af, semantics))
             assert passed(validate(c))
         assert calls == []
 
@@ -263,7 +266,7 @@ class TestCompile:
         rng = random.Random(120)
         names = [f"x{i:03d}" for i in range(120)]
         af = ArgumentationFramework(names, rng.sample([(s, t) for s in names for t in names], 180))
-        c = compile_formula(encode(af, Semantics.AD), variables=names)
+        c = compile_formula(encode(af, Semantics.AD))
         assert passed(validate(c))
         assert len(c.nodes) < 2000
 
@@ -294,36 +297,32 @@ class TestCompile:
             raise AssertionError("listed model set compiled by the clause search")
 
         circuit_module = importlib.import_module("pargue.circuit")
-        for name in ("_clauses", "_search"):
-            monkeypatch.setattr(circuit_module, name, refuse)
+        monkeypatch.setattr(circuit_module, "_search", refuse)
         names = [f"x{i:02d}" for i in range(25)]
         masks = set(random.Random(3000).sample(range(1 << 25), 3000))
         c = encode_enumerative(names, masks)
         assert set(model_masks(c)) == masks
         assert passed(validate(c))
 
-    def test_complete_theory_compiles_through_auxiliaries(self, monkeypatch):
-        # CO's reinstatement is no clause set: each attacker's conjunction of
-        # its attackers' negations becomes an eliminated auxiliary.
-        circuit_module = importlib.import_module("pargue.circuit")
-        widths = []
-        real = circuit_module._clauses
-
-        def counting(f, bit):
-            clauses = real(f, bit)
-            widths.append(len(bit))
-            return clauses
-
-        monkeypatch.setattr(circuit_module, "_clauses", counting)
+    def test_complete_theory_compiles_through_auxiliaries(self):
+        # CO's reinstatement is no clause set over the ids alone: each
+        # distinct attacker set C_b that a clause needs beside another
+        # becomes an eliminated auxiliary for "no member in C_b".
         rng = random.Random(25)
         names = [f"x{i:02d}" for i in range(25)]
         af = ArgumentationFramework(names, rng.sample([(s, t) for s in names for t in names], 75))
         theory = encode(af, Semantics.CO)
-        c = compile_formula(theory, variables=names)
-        assert widths and widths[0] > len(names)
+        assert theory.names[:25] == af.arguments and theory.declared == 25
+        assert len(theory.names) > 25
+        c = compile_formula(theory)
         assert passed(validate(c))
-        found = [frozenset(v for i, v in enumerate(names) if m >> i & 1) for m in model_masks(c)]
-        assert found and all(satisfies(theory, m) for m in found)
+        # Each model is complete: conflict-free, and the set it defends.
+        full = af._full_mask
+        found = model_masks(c)
+        assert found and all(
+            not _attacked_by(af, full, m) & m and _characteristic_mask(af, full, m) == m
+            for m in found
+        )
 
     def test_circuits_do_not_depend_on_the_hash_seed(self):
         # The split groups conjuncts by sets of names; string hashing varies
@@ -356,15 +355,16 @@ class TestCompile:
 
 class TestSmoothing:
     def test_widening_preserves_relative_count(self):
-        c = compile_formula(var("a"))
+        c = compile_formula(ClauseSet(("a",), 1, [(0b1, 0)]))
         assert model_count(c) == 1
-        widened = compile_formula(var("a"), variables=NAMES)
+        widened = compile_formula(ClauseSet(NAMES, 4, [(0b1, 0)]))
         assert widened.variables == NAMES
         assert model_count(widened) == 8  # 1 * 2^3 gap variables
 
     def test_narrowing_below_used_variables_rejected(self, example_af):
+        theory = encode(example_af, Semantics.AD)
         with pytest.raises(InputError):
-            compile_formula(encode(example_af, Semantics.AD), variables=["a", "b"])
+            compile_formula(ClauseSet(("a", "b"), 2, theory.clauses))
 
     def test_root_missing_a_declared_variable_fails_validate(self):
         # The root mentions a alone, so its count over {a, b} would read 1, not 2.
@@ -375,7 +375,7 @@ class TestSmoothing:
         # A false root, as a contradicting condition leaves, mentions nothing
         # and counts 0 over any variables.
         assert validate(Circuit((Node("false"),), 0, ("a", "b"))).smooth
-        blocked = condition(compile_formula(var("a"), variables=("a", "b")), {"a": False})
+        blocked = condition(compile_formula(ClauseSet(("a", "b"), 2, [(0b1, 0)])), {"a": False})
         assert validate(blocked).smooth and model_count(blocked) == 0
 
 
@@ -485,15 +485,15 @@ class TestCondition:
         with pytest.raises(InputError):
             condition(compiled_example(example_af), {"z": True})
 
-    @given(formulas(), st.dictionaries(st.sampled_from(NAMES), st.booleans()))
+    @given(clause_sets(), st.dictionaries(st.sampled_from(NAMES), st.booleans()))
     def test_every_conditioned_node_reachable(self, f, fixed):
-        assert_all_reachable(condition(compile_formula(f, variables=NAMES), fixed))
+        assert_all_reachable(condition(compile_formula(f), fixed))
 
-    @given(formulas())
+    @given(clause_sets())
     def test_counts_conditioned_models(self, f):
-        c = compile_formula(f, variables=NAMES)
+        c = compile_formula(f)
         got = model_count(condition(c, {"a": True, "b": False}))
-        want = sum(1 for m in models(f, NAMES) if "a" in m and "b" not in m)
+        want = sum(1 for m in models(f) if "a" in m and "b" not in m)
         assert got == want
 
 

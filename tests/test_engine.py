@@ -32,7 +32,7 @@ from pargue import (
     prob_c,
     propagate,
 )
-from pargue import encode, encode_constellation, engine, extensions, formula, subgraph
+from pargue import encode, encode_constellation, engine, extensions, subgraph
 from pargue.af import _cone_mask
 from pargue.circuit import validate
 from pargue.encode import _accepted
@@ -280,10 +280,10 @@ class TestCompiledCache:
                 warm = query(example_graph, semantics, "d")
                 assert calls == before, (query.__name__, semantics)
                 assert warm == cold
-        # Six theories, plus three constellations: CO and PR share AD's, and
-        # CF's has a closed form. PR's theory and GR's constellation are
-        # listed model sets.
-        assert calls == {"compile_formula": 7, "encode_enumerative": 2, "model_count": 9}
+        # Six theories, plus one constellation: CO and PR share AD's, the
+        # framework is acyclic, so GR and ST do too, and CF's has a closed
+        # form. PR's theory is a listed model set.
+        assert calls == {"compile_formula": 6, "encode_enumerative": 1, "model_count": 7}
 
     def test_preferred_reuses_the_complete_circuit(self, monkeypatch, example_graph):
         calls = []
@@ -386,12 +386,16 @@ class TestConstellationScan:
         scan.cache_clear()
         pairs = 0
         for i in range(70):
-            af = ArgumentationFramework([f"a{i}", f"b{i}"], [(f"a{i}", f"b{i}")])
-            graph = ProbabilisticGraph(af, {f"a{i}": 0.5, f"b{i}": 0.25})
-            prob_c(graph, Semantics.GR, f"b{i}")
-            prob_c(graph, Semantics.GR, f"a{i}")
+            # a and b attack each other, and b attacks c: every cone is cyclic.
+            a, b, c = f"a{i}", f"b{i}", f"c{i}"
+            af = ArgumentationFramework([a, b, c], [(a, b), (b, a), (b, c)])
+            graph = ProbabilisticGraph(af, {a: 0.5, b: 0.25, c: 0.75})
+            prob_c(graph, Semantics.GR, c)
+            prob_c(graph, Semantics.GR, a)
+            prob_c(graph, Semantics.GR, b)
             pairs += 1
-        # Tables are keyed on the cone's subgraph: {a, b} for b, {a} for a.
+        # Tables are keyed on the cone's subgraph: {a, b, c} for c, {a, b}
+        # for a and b.
         info = scan.cache_info()
         assert pairs > info.maxsize and info.misses == 2 * pairs
         assert info.currsize <= info.maxsize
@@ -540,8 +544,49 @@ class TestRelevanceCone:
         assert calls == ["encode_constellation", "compile_formula"]
 
 
+@st.composite
+def acyclic_frameworks(draw, max_args: int = 7) -> ArgumentationFramework:
+    """Frameworks whose attacks all run forward along a drawn order."""
+    n = draw(st.integers(1, max_args))
+    order = draw(st.permutations("abcdefgh"[:n]))
+    forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    attacks = draw(st.sets(st.sampled_from(forward))) if forward else ()
+    return ArgumentationFramework(order, attacks)
+
+
+class TestAcyclicConstellation:
+    """With no attack cycle every subgraph has one complete extension, which
+    is grounded, preferred and stable (Dung 1995, Thm 30): GR's prob-c on an
+    acyclic cone, and ST's on an acyclic framework, read AD's circuit."""
+
+    @settings(max_examples=40)
+    @given(acyclic_frameworks(), st.randoms(use_true_random=False))
+    def test_prob_c_matches_brute_force(self, af, rng):
+        graph = ProbabilisticGraph(af, {name: rng.random() for name in af.arguments})
+        for name in af.arguments:
+            shared = _compiled(af, Semantics.AD, name)
+            for semantics in (Semantics.GR, Semantics.CO, Semantics.PR, Semantics.ST):
+                assert engine._target(af, semantics, name, "prob-c") is shared
+                exact = brute_force_prob_c(graph, semantics, name)
+                assert prob_c(graph, semantics, name).mean == pytest.approx(exact, abs=1e-12)
+
+    def test_grounded_chain_past_the_table(self):
+        # x{i+1} attacks x{i}: the cone of x00 is all 24 arguments, past the
+        # 20 of GR's acceptance table, and has no cycle.
+        names = [f"x{i:02d}" for i in range(24)]
+        af = ArgumentationFramework(names, list(zip(names[1:], names)))
+        graph = ProbabilisticGraph(af, {name: 0.2 + i / 40 for i, name in enumerate(names)})
+        grounded = prob_c(graph, Semantics.GR, "x00")
+        admissible = prob_c(graph, Semantics.AD, "x00")
+        assert grounded.semantics is Semantics.GR
+        for field in ("mean", "variance", "model_count", "circuit_nodes"):
+            assert getattr(grounded, field) == getattr(admissible, field)
+        # The cycle-free chain's stable and grounded answers agree as well.
+        assert prob_c(graph, Semantics.ST, "x00").mean == grounded.mean
+
+
 class TestFormulaSessions:
-    """Each compile target builds its formulas in a session of its own."""
+    """Each compile target is built from its own encoding alone."""
 
     @staticmethod
     def _framework(prefix):
@@ -566,34 +611,6 @@ class TestFormulaSessions:
         _compiled(cold, Semantics.CO, None)
         engine._compiled.cache_clear()
         assert _compiled(cold, Semantics.PR, None)[0].nodes == first.nodes
-
-    def test_default_tables_unchanged_by_queries(self):
-        def sizes():
-            return [
-                len(formula._LITERALS),
-                len(formula._ANDS),
-                len(formula._ORS),
-            ]
-
-        before = sizes()
-        engine._compiled.cache_clear()
-        af = self._framework("rt")
-        graph = ProbabilisticGraph(af, {name: 0.5 for name in af.arguments})
-        for semantics in Semantics:
-            for name in af.arguments:
-                prob(graph, semantics, name)
-                prob_c(graph, semantics, name)
-        assert sizes() == before
-
-    def test_sessions_nest_and_restore(self):
-        outer = formula.and_((formula.var("s0"), formula.var("s1")))
-        with formula.session():
-            inner = formula.and_((formula.var("s0"), formula.var("s1")))
-            with formula.session():
-                assert formula.var("s0").serial == 0
-            assert formula.and_((formula.var("s1"), formula.var("s0"))) is inner
-        assert inner is not outer
-        assert formula.and_((formula.var("s1"), formula.var("s0"))) is outer
 
 
 def test_import_skips_numpy():
@@ -823,7 +840,7 @@ class TestGuards:
         # Semantics is a str enum: every entry point takes a member's name as
         # that member, and refuses a name that is none.
         assert extensions(example_af, "GR") == (frozenset("abd"),)
-        assert encode(example_af, "CF") is encode(example_af, Semantics.CF)
+        assert encode(example_af, "CF") == encode(example_af, Semantics.CF)
         result = prob(example_graph, "AD", "a")
         assert result.semantics is Semantics.AD
         assert result == prob(example_graph, Semantics.AD, "a")

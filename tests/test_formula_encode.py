@@ -1,153 +1,118 @@
-"""Formula normalization and the three semantics encodings."""
+"""Clause-set normalization and the semantics encodings."""
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pargue import (
-    FALSE,
-    TRUE,
     ArgumentationFramework,
     CapacityError,
+    ClauseSet,
     InputError,
     Node,
     ProbabilisticGraph,
     Semantics,
-    and_,
+    compile_formula,
     encode,
     encode_constellation,
     encode_enumerative,
     extensions,
-    lit,
-    models,
-    not_,
-    or_,
     prob_c,
-    satisfies,
     subgraph,
-    var,
 )
-from pargue.encode import _grounded_constellation
+from pargue.encode import _accepted, _grounded_constellation
 from pargue.engine import _compiled
 from pargue.semiring import model_masks
 
-from conftest import frameworks
+from conftest import clause_set, frameworks, literal_clauses, models, random_framework, satisfies
 
 DIRECT = [Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST]
 
 
-def model_set(f, names):
-    return {tuple(sorted(m)) for m in models(f, names)}
+def model_set(f):
+    return {tuple(sorted(m)) for m in models(f)}
 
 
 def circuit_model_set(c):
     return {tuple(v for i, v in enumerate(c.variables) if m >> i & 1) for m in model_masks(c)}
 
 
-def projected_model_set(f, names):
-    """Assignments to ``names`` that extend to a model of ``f`` over its
-    other variables, from one truth table over all of them."""
-    hidden = sorted(f.vars - set(names))
-    return {tuple(sorted(m.intersection(names))) for m in models(f, [*names, *hidden])}
-
-
-@st.composite
-def formulas(draw, names=("a", "b", "c", "d")):
-    base = st.one_of(
-        st.sampled_from([TRUE, FALSE]),
-        st.builds(lit, st.sampled_from(list(names)), st.booleans()),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.builds(lambda cs: and_(cs), st.lists(children, min_size=0, max_size=3)),
-            st.builds(lambda cs: or_(cs), st.lists(children, min_size=0, max_size=3)),
-            st.builds(not_, children),
-        )
-
-    return draw(st.recursive(base, extend, max_leaves=12))
-
-
 class TestNormalization:
     def test_empty_connectives(self):
-        assert and_([]) is TRUE
-        assert or_([]) is FALSE
+        # No clause is true; the empty clause is false.
+        assert models(ClauseSet(("a",), 1, ())) == {frozenset(), frozenset("a")}
+        assert models(ClauseSet(("a",), 1, [(0, 0)])) == set()
 
     def test_neutral_and_absorbing(self):
-        a = var("a")
-        assert and_([a, TRUE]) is a
-        assert and_([a, FALSE]) is FALSE
-        assert or_([a, FALSE]) is a
-        assert or_([a, TRUE]) is TRUE
+        # A tautology is dropped; the empty clause absorbs the rest.
+        assert ClauseSet("ab", 2, [(0b01, 0b01), (0b10, 0)]).clauses == ((0b10, 0),)
+        assert compile_formula(ClauseSet("ab", 2, [(0b10, 0), (0, 0)])).nodes == (Node("false"),)
 
     def test_flattening_and_dedupe(self):
-        a, b, c = var("a"), var("b"), var("c")
-        assert and_([a, and_([b, c])]) is and_([a, b, c])
-        assert or_([a, a, b]) is or_([b, a])
+        f = ClauseSet("abc", 3, [(0b001, 0b100), (0b010, 0), (0b001, 0b100)])
+        assert f.names == ("a", "b", "c") and f.clauses == ((0b001, 0b100), (0b010, 0))
 
     def test_complementary_literals(self):
-        a = var("a")
-        assert and_([a, not_(a)]) is FALSE
-        assert or_([a, not_(a)]) is TRUE
+        assert ClauseSet("a", 1, [(1, 1)]).clauses == ()
+        assert clause_set("ab", (), [[("a", True), ("b", True), ("a", False)]]).clauses == ()
 
-    @given(st.lists(formulas(), max_size=4))
-    def test_connectives_agree_with_semantics(self, fs):
-        conj, disj = and_(fs), or_(fs)
-        for on in models(TRUE, ["a", "b", "c", "d"]):
-            assert satisfies(conj, on) == all(satisfies(f, on) for f in fs)
-            assert satisfies(disj, on) == any(satisfies(f, on) for f in fs)
+    @given(st.lists(literal_clauses("abcd"), max_size=3))
+    def test_connectives_agree_with_semantics(self, parts):
+        # Joining clause lists conjoins them, and dropping tautologies and
+        # repeats changes no model.
+        sets = [clause_set("abcd", (), part) for part in parts]
+        joined = clause_set("abcd", (), [clause for part in parts for clause in part])
+        for on in range(16):
+            want = all(
+                any(bool(on >> "abcd".index(name) & 1) == positive for name, positive in clause)
+                for part in parts
+                for clause in part
+            )
+            assert satisfies(joined.clauses, on) == want
+            assert want == all(satisfies(f.clauses, on) for f in sets)
 
     def test_interning(self):
-        one = and_([var("a"), lit("b", False)])
-        two = and_([lit("b", False), var("a")])
-        assert one is two
-
-    def test_negation_is_involution(self):
-        f = or_([and_([var("a"), lit("b", False)]), var("c")])
-        assert not_(not_(f)) is f
-
-    @given(formulas())
-    def test_negation_is_involution_on_any_formula(self, f):
-        assert not_(not_(f)) is f
+        one = ClauseSet(("a", "b"), 2, [(0b01, 0b10), (0b01, 0b10)])
+        two = ClauseSet(["a", "b"], 2, ((0b01, 0b10),))
+        assert one == two and hash(one) == hash(two)
 
     def test_vars(self):
-        f = or_([and_([var("a"), lit("b", False)]), var("c")])
-        assert f.vars == {"a", "b", "c"}
+        f = ClauseSet(["a", "b", "c"], 2, [(0b100, 0b001)])
+        assert f.names == ("a", "b", "c") and f.declared == 2
+        with pytest.raises(InputError, match="distinct strings"):
+            ClauseSet(("a", "a"), 1, ())
+        with pytest.raises(InputError, match="declared"):
+            ClauseSet(("a",), 2, ())
 
     def test_models_outside_the_variables_rejected(self):
-        with pytest.raises(InputError, match="formula mentions variables outside"):
-            list(models(var("z"), ["a"]))
+        with pytest.raises(InputError, match="below 2\\*\\*1"):
+            ClauseSet(("a",), 1, [(0b10, 0)])
 
 
 class TestDirectEncodings:
     def test_worked_example_admissible_theory(self, example_af):
-        # equivalent to (c > ~a) & (c > ~b) & (d > (a | b)) & ~c
-        a, b, c, d = map(var, "abcd")
-        target = and_(
-            [
-                or_([not_(c), not_(a)]),
-                or_([not_(c), not_(b)]),
-                or_([not_(d), or_([a, b])]),
-                not_(c),
-            ]
-        )
-        assert model_set(encode(example_af, Semantics.AD), "abcd") == model_set(
-            target, "abcd"
-        )
+        # (c > ~a) & (c > ~b) & (d > ~c) & (d > (a | b)) & ~c, as written
+        theory = encode(example_af, Semantics.AD)
+        assert theory.names == ("a", "b", "c", "d") and theory.declared == 4
+        assert set(theory.clauses) == {
+            (0, 0b0101), (0, 0b0110), (0, 0b1100), (0b0011, 0b1000), (0, 0b0100)
+        }
 
     def test_stable_without_attacks_forces_everything(self):
         af = ArgumentationFramework(["a", "b", "c"])
-        assert encode(af, Semantics.ST) is and_([var("a"), var("b"), var("c")])
+        assert encode(af, Semantics.ST) == ClauseSet("abc", 3, [(0b001, 0), (0b010, 0), (0b100, 0)])
 
     def test_self_attack(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
-        assert model_set(encode(af, Semantics.CF), "a") == {()}
-        assert model_set(encode(af, Semantics.AD), "a") == {()}
-        assert encode(af, Semantics.ST) is FALSE
+        assert model_set(encode(af, Semantics.CF)) == {()}
+        assert model_set(encode(af, Semantics.AD)) == {()}
+        assert encode(af, Semantics.ST).clauses == ((0, 1), (1, 0))
+        assert model_set(encode(af, Semantics.ST)) == set()
 
     def test_no_direct_encoding_for_preferred(self, example_af):
         with pytest.raises(InputError, match="encode_enumerative"):
@@ -156,14 +121,36 @@ class TestDirectEncodings:
     @given(frameworks())
     def test_models_are_extensions(self, af):
         for semantics in DIRECT:
-            got = model_set(encode(af, semantics), af.arguments)
+            got = model_set(encode(af, semantics))
             want = {tuple(sorted(e)) for e in extensions(af, semantics)}
             assert got == want, semantics
 
+    def test_seeded_models_are_extensions(self):
+        # Clause models against the enumeration, past hypothesis's six
+        # arguments, with CO's auxiliaries eliminated by the truth table.
+        rng = random.Random(8)
+        for _ in range(40):
+            af = random_framework(rng, max_args=8, density=rng.choice([0.1, 0.2, 0.3]))
+            for semantics in (*DIRECT, Semantics.GR):
+                assert models(encode(af, semantics)) == set(extensions(af, semantics)), semantics
+
     @given(frameworks())
     def test_variables_stay_inside_framework(self, af):
-        for semantics in DIRECT:
-            assert encode(af, semantics).vars <= set(af.arguments)
+        # The ids are declared, in order; only CO eliminates names, its
+        # auxiliaries, which lie outside the argument-id alphabet.
+        for semantics in (*DIRECT, Semantics.GR):
+            theory = encode(af, semantics)
+            assert theory.names[: theory.declared] == af.arguments
+            hidden = theory.names[theory.declared :]
+            assert semantics is Semantics.CO or not hidden
+            assert all(name.startswith("t.") for name in hidden)
+        for name in af.arguments:
+            for semantics in (Semantics.AD, Semantics.ST):
+                theory = encode_constellation(af, semantics, name)
+                assert theory.names[: theory.declared] == af.arguments
+                members = theory.names[theory.declared :]
+                assert list(members) == sorted(members)
+                assert all(m.startswith("m.") and m[2:] in af.arguments for m in members)
 
 
 def extension_masks(af, semantics):
@@ -176,7 +163,7 @@ class TestEnumerativeEncoding:
 
     def test_grounded_single_full_conjunction(self, example_af):
         f = encode(example_af, Semantics.GR)
-        assert model_set(f, "abcd") == {("a", "b", "d")}
+        assert model_set(f) == {("a", "b", "d")}
 
     def test_chain_preferred(self, chain_af):
         c = _compiled(chain_af, Semantics.PR, None)[0]
@@ -223,7 +210,7 @@ class TestEnumerativeEncoding:
     @given(frameworks())
     def test_matches_direct_encodings(self, af):
         for semantics in DIRECT:
-            direct = model_set(encode(af, semantics), af.arguments)
+            direct = model_set(encode(af, semantics))
             listed = circuit_model_set(
                 encode_enumerative(af.arguments, extension_masks(af, semantics))
             )
@@ -247,15 +234,16 @@ class TestEnumerativeEncoding:
         assert any("n00" in e for e in grounded_sets)
         assert not any("n01" in e for e in grounded_sets)
         f = encode(af, Semantics.GR)
-        assert f.vars == set(names)
-        assert satisfies(f, grounded) and not satisfies(f, grounded | {"n01"})
+        assert f.names == tuple(names)
+        on = af._mask(grounded)
+        assert satisfies(f.clauses, on) and not satisfies(f.clauses, on | 0b10)
         with pytest.raises(CapacityError):
             extensions(af, Semantics.CO)
 
     def test_more_names_than_the_recursion_limit(self):
         names = [f"n{i:04d}" for i in range(sys.getrecursionlimit() + 100)]
         f = encode(ArgumentationFramework(names), Semantics.GR)
-        assert f is and_(var(name) for name in names)
+        assert f.clauses == tuple((1 << i, 0) for i in range(len(names)))
         # A listed set meets the compile cap before anything is built.
         masks = [(1 << len(names)) - 1, 1]
         with pytest.raises(CapacityError, match=f"at most 25 variables, got {len(names)}"):
@@ -274,13 +262,25 @@ class TestConstellationEncoding:
 
     def test_unattacked_argument_all_subgraphs_containing_it(self, example_af):
         f = encode_constellation(example_af, Semantics.AD, "a")
-        got = projected_model_set(f, "abcd")
+        got = model_set(f)
         assert len(got) == 8
         assert all("a" in m for m in got)
 
     def test_self_attacker_never_accepted(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
-        assert encode_constellation(af, Semantics.AD, "a") is FALSE
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.ST):
+            assert models(encode_constellation(af, semantics, "a")) == set()
+
+    @settings(max_examples=30)
+    @given(frameworks(max_args=5))
+    def test_projected_models_are_the_scan(self, af):
+        # The clause models, projected onto the ids by the truth table, are
+        # the subgraphs in which the scan finds the argument accepted.
+        for semantics in (Semantics.AD, Semantics.ST):
+            table = _accepted(af, semantics)
+            for i, name in enumerate(af.arguments):
+                want = {af._members(sub) for sub, union in enumerate(table) if union >> i & 1}
+                assert models(encode_constellation(af, semantics, name)) == want, (semantics, name)
 
     def test_unknown_argument(self, example_af):
         with pytest.raises(InputError):

@@ -21,7 +21,7 @@ from pargue import (
 
 @pytest.fixture
 def theory(example_af):
-    return compile_formula(encode(example_af, Semantics.AD), variables=example_af.arguments)
+    return compile_formula(encode(example_af, Semantics.AD))
 
 
 @pytest.fixture
@@ -85,7 +85,7 @@ class TestGradients:
 
     @given(frameworks(max_args=5))
     def test_matches_central_differences(self, af):
-        theory = compile_formula(encode(af, Semantics.AD), variables=af.arguments)
+        theory = compile_formula(encode(af, Semantics.AD))
         circuit = condition(theory, {af.arguments[0]: True})
         means = {
             name: 0.15 + 0.7 * (i + 1) / (len(af.arguments) + 1)

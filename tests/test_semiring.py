@@ -10,26 +10,21 @@ from pargue import (
     COUNTING,
     PROBABILITY,
     Circuit,
+    ClauseSet,
     InputError,
     Labelling,
     Node,
     Semantics,
-    and_,
     compile_formula,
     condition,
     encode,
     evaluate,
-    models,
-    or_,
-    satisfies,
-    var,
 )
 
-from conftest import frameworks
+from conftest import clause_sets, frameworks, models
 from pargue.af import _extension_masks
 from pargue.engine import _compiled
 from pargue.semiring import MAXIMAL_MODELS, model_masks
-from test_formula_encode import formulas
 
 NAMES = ("a", "b", "c", "d")
 
@@ -38,7 +33,7 @@ REFERENCE_MEANS = {"a": 0.5, "b": 17 / 19, "c": 4 / 19, "d": 10 / 13}
 
 
 def _example_circuit(example_af):
-    return compile_formula(encode(example_af, Semantics.AD), variables=NAMES)
+    return compile_formula(encode(example_af, Semantics.AD))
 
 
 class TestAxioms:
@@ -91,13 +86,13 @@ class TestEvaluate:
     def test_counting(self, example_af):
         assert evaluate(_example_circuit(example_af), COUNTING, Labelling.constant(NAMES, 1)) == 7
 
-    @given(formulas(), st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4))
+    @given(clause_sets(), st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4))
     def test_matches_weighted_truth_table(self, f, weights):
-        c = compile_formula(f, variables=NAMES)
+        c = compile_formula(f)
         points = dict(zip(NAMES, weights))
         got = evaluate(c, PROBABILITY, Labelling.from_point_probabilities(points))
         want = 0.0
-        for m in models(f, NAMES):
+        for m in models(f):
             w = 1.0
             for name in NAMES:
                 w *= points[name] if name in m else 1.0 - points[name]
@@ -139,7 +134,7 @@ class TestAmcQuery:
         labelling = Labelling.from_point_probabilities(REFERENCE_MEANS)
         got = _conditioned_value(c, {"d": True}, PROBABILITY, labelling)
         oracle = 0.0
-        for m in models(encode(example_af, Semantics.AD), NAMES):
+        for m in models(encode(example_af, Semantics.AD)):
             if "d" not in m:
                 continue
             w = 1.0
@@ -170,10 +165,12 @@ class TestAmcQuery:
         # declaring a fresh variable z adds a (z | ~z) gap during smoothing;
         # labelled 1.0/0.0 it must not change any query value
         theory = encode(af, Semantics.AD)
-        base = compile_formula(theory, variables=af.arguments)
+        base = compile_formula(theory)
         fresh = "z"
         assert fresh not in af.arguments
-        extended = compile_formula(theory, variables=(*af.arguments, fresh))
+        # The fresh name is declared after the ids: bit n, which no clause uses.
+        names = (*af.arguments, fresh)
+        extended = compile_formula(ClauseSet(names, len(names), theory.clauses))
         points = {name: 0.35 for name in af.arguments}
         labelling = Labelling.from_point_probabilities(points)
         wide = Labelling(
@@ -194,7 +191,7 @@ class TestModelEnumeration:
 
     @given(frameworks(max_args=8))
     def test_models_are_extensions(self, af):
-        complete = compile_formula(encode(af, Semantics.CO), variables=af.arguments)
+        complete = compile_formula(encode(af, Semantics.CO))
         maximal = model_masks(complete, MAXIMAL_MODELS)
         assert sorted(maximal) == list(_extension_masks(af, af._full_mask, Semantics.PR))
         for semantics in Semantics:
