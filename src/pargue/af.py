@@ -10,10 +10,9 @@ circuit is validated against. Subsets are bit masks over the sorted ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
 
 from .errors import CapacityError, InputError
 
@@ -44,16 +43,15 @@ def _semantics(value: object) -> Semantics:
         raise InputError(f"unknown semantics {value!r}") from None
 
 
-@dataclass(frozen=True)
 class ArgumentationFramework:
     """Finite set of arguments together with a directed attack relation.
 
-    Arguments are stored sorted, so equal frameworks compare and hash equal
-    regardless of construction order.
+    ``arguments`` is a tuple of ids and ``attacks`` a frozenset of (source,
+    target) pairs. Arguments are stored sorted, so equal frameworks compare
+    and hash equal regardless of construction order. A framework is
+    immutable, and its hash is computed once: every compiled-circuit cache
+    lookup hashes it.
     """
-
-    arguments: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
 
     def __init__(self, arguments: Iterable[str], attacks: Iterable[tuple[str, str]] = ()):
         # key=str sorts strings as they are, and lets a non-string id reach the check.
@@ -72,8 +70,31 @@ class ArgumentationFramework:
             if not declared:
                 raise InputError(f"attack ({source},{target}) references an undeclared argument")
             pairs.add((source, target))
+        attacks = frozenset(pairs)
         object.__setattr__(self, "arguments", names)
-        object.__setattr__(self, "attacks", frozenset(pairs))
+        object.__setattr__(self, "attacks", attacks)
+        object.__setattr__(self, "_hash", hash((names, attacks)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an ArgumentationFramework")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an ArgumentationFramework")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArgumentationFramework):
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.arguments == other.arguments
+            and self.attacks == other.attacks
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ArgumentationFramework(arguments={self.arguments!r}, attacks={self.attacks!r})"
 
     def __contains__(self, name: object) -> bool:
         return name in self._index

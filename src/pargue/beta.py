@@ -10,15 +10,17 @@ Fuzzy rendering bins the mean into a nine-word likelihood vocabulary and
 the variance into a five-word confidence vocabulary. Bin edges and the
 representative moments used to read fuzzy labels back are configuration
 data; a JSON file can replace the defaults.
+
+Labels, moment pairs, fuzzy pairs and label configurations are named
+tuples; the first three check their fields when built.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .errors import InputError
 
@@ -52,30 +54,23 @@ MIN_STRENGTH = 0.02
 VARIANCE_HEADROOM = 0.999
 
 
-@dataclass(frozen=True)
-class BetaLabel:
+class BetaLabel(namedtuple("BetaLabel", "alpha beta point")):
     """Beta distribution over a probability, or a degenerate point mass."""
 
-    alpha: float
-    beta: float
-    point: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.point is None:
+    def __new__(cls, alpha: float, beta: float, point: float | None = None) -> "BetaLabel":
+        if point is None:
             # The mean and variance divide by alpha + beta, which overflows
             # to inf (and the mean to 0) for two finite parameters near 1e308.
-            ok = (
-                math.isfinite(self.alpha + self.beta)
-                and self.alpha > 0
-                and self.beta > 0
-            )
-            if not ok:
+            if not (math.isfinite(alpha + beta) and alpha > 0 and beta > 0):
                 raise InputError(
                     f"beta parameters must be finite and positive with a finite "
-                    f"sum, got ({self.alpha}, {self.beta})"
+                    f"sum, got ({alpha}, {beta})"
                 )
-        elif not 0.0 <= self.point <= 1.0:
-            raise InputError(f"point mass out of [0,1]: {self.point}")
+        elif not 0.0 <= point <= 1.0:
+            raise InputError(f"point mass out of [0,1]: {point}")
+        return super().__new__(cls, alpha, beta, point)
 
     @classmethod
     def from_point(cls, mean: float) -> "BetaLabel":
@@ -117,28 +112,26 @@ class BetaLabel:
         return self.mean * (self.mean * self.strength + 1.0) / (self.strength + 1.0)
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    mean: float
-    variance: float
+class MomentPair(namedtuple("MomentPair", "mean variance")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean <= 1.0:
-            raise InputError(f"mean out of [0,1]: {self.mean}")
-        if self.variance < 0.0:
-            raise InputError(f"negative variance: {self.variance}")
+    def __new__(cls, mean: float, variance: float) -> "MomentPair":
+        if not 0.0 <= mean <= 1.0:
+            raise InputError(f"mean out of [0,1]: {mean}")
+        if variance < 0.0:
+            raise InputError(f"negative variance: {variance}")
+        return super().__new__(cls, mean, variance)
 
 
-@dataclass(frozen=True)
-class FuzzyLabel:
-    aleatory: str
-    epistemic: str
+class FuzzyLabel(namedtuple("FuzzyLabel", "aleatory epistemic")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.aleatory not in ALEATORY_LABELS:
-            raise InputError(f"unknown likelihood word {self.aleatory!r}")
-        if self.epistemic not in EPISTEMIC_LABELS:
-            raise InputError(f"unknown confidence word {self.epistemic!r}")
+    def __new__(cls, aleatory: str, epistemic: str) -> "FuzzyLabel":
+        if aleatory not in ALEATORY_LABELS:
+            raise InputError(f"unknown likelihood word {aleatory!r}")
+        if epistemic not in EPISTEMIC_LABELS:
+            raise InputError(f"unknown confidence word {epistemic!r}")
+        return super().__new__(cls, aleatory, epistemic)
 
     def __str__(self) -> str:
         return f"{self.aleatory}/{self.epistemic}"
@@ -176,13 +169,13 @@ def _bin_centres(edges: tuple[float, ...]) -> tuple[float, ...]:
     return tuple((lo + hi) / 2.0 for lo, hi in zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True)
-class LabelConfig:
-    """Bin edges plus the representative moments behind each fuzzy pair."""
+class LabelConfig(namedtuple("LabelConfig", "aleatory_edges epistemic_edges representatives")):
+    """Bin edges plus the representative moments behind each fuzzy pair:
+    ``aleatory_edges`` and ``epistemic_edges`` are tuples of floats,
+    ``representatives`` maps each (likelihood, confidence) word pair to a
+    (mean, variance) pair."""
 
-    aleatory_edges: tuple[float, ...]
-    epistemic_edges: tuple[float, ...]
-    representatives: Mapping[tuple[str, str], tuple[float, float]]
+    __slots__ = ()
 
     def representative(self, aleatory: str, epistemic: str) -> tuple[float, float]:
         return self.representatives[(aleatory, epistemic)]
@@ -218,6 +211,9 @@ class LabelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "LabelConfig":
+        # Imported here so that importing pargue skips the JSON parser.
+        import json
+
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # ValueError: an int past the digit limit

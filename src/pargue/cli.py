@@ -15,7 +15,7 @@ import os
 import re
 import sys
 import warnings
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .af import ArgumentationFramework, Semantics, _sorted_sets, extensions
 from .beta import DEFAULT_LABEL_CONFIG, BetaLabel, FuzzyLabel, LabelConfig, from_fuzzy

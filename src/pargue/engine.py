@@ -36,9 +36,8 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Mapping
 
 from .af import (
     ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask, _semantics
@@ -59,23 +58,22 @@ MAX_BRUTE_FORCE_ARGUMENTS = 12
 _MC_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
 class ProbabilisticGraph:
     """Framework plus one label (point probability or beta) per argument.
 
-    Label moments are derived once: literal probabilities at the label means,
-    and each label's variance (zero for a point probability).
+    Label moments are derived once: ``means``, the literal probabilities at
+    the label means, and ``variances``, each label's variance (zero for a
+    point probability). Two graphs are equal only if they are the same
+    object.
     """
 
-    framework: ArgumentationFramework
-    labels: Mapping[str, float | BetaLabel]
-    means: Labelling = field(init=False, repr=False, compare=False)
-    variances: Mapping[str, float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        names = set(self.framework.arguments)
-        given = dict(self.labels)
-        missing = [a for a in self.framework.arguments if a not in given]
+    def __init__(
+        self, framework: ArgumentationFramework, labels: Mapping[str, float | BetaLabel]
+    ) -> None:
+        self.framework = framework
+        names = set(framework.arguments)
+        given = dict(labels)
+        missing = [a for a in framework.arguments if a not in given]
         if missing:
             raise InputError(f"unlabeled arguments: {', '.join(missing)}")
         extra = sorted(set(given) - names)
@@ -87,14 +85,16 @@ class ProbabilisticGraph:
                     given[name] = float(label)
                 except (TypeError, ValueError):
                     raise InputError(f"label of {name!r} is not a number: {label!r}") from None
-        object.__setattr__(self, "labels", given)
+        self.labels = given
         # Rejects a point probability outside [0,1].
-        object.__setattr__(self, "means", Labelling.from_point_probabilities(self.point_means()))
-        variances = {
+        self.means = Labelling.from_point_probabilities(self.point_means())
+        self.variances = {
             name: label.variance if isinstance(label, BetaLabel) else 0.0
             for name, label in given.items()
         }
-        object.__setattr__(self, "variances", variances)
+
+    def __repr__(self) -> str:
+        return f"ProbabilisticGraph(framework={self.framework!r}, labels={self.labels!r})"
 
     @property
     def beta_mode(self) -> bool:

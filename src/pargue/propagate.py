@@ -24,12 +24,11 @@ term would be multiplied by zero.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import Circuit
@@ -38,16 +37,15 @@ from .results import QueryResult
 from .semiring import PROBABILITY, Labelling, _walk
 
 
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Off-diagonal covariances between argument probabilities.
+class CovarianceSpec(namedtuple("CovarianceSpec", "arguments off_diagonal")):
+    """Off-diagonal covariances between argument probabilities: the sorted
+    argument ids, and a map from (a, b) pairs with a < b to covariances.
 
     The diagonal always comes from the labels themselves and is never
     user-supplied.
     """
 
-    arguments: tuple[str, ...]
-    off_diagonal: Mapping[tuple[str, str], float]
+    __slots__ = ()
 
     @classmethod
     def from_pairs(
@@ -79,6 +77,9 @@ def load_covariance_csv(text: str) -> CovarianceSpec:
     Diagonal cells are ignored (a nonzero one draws a warning) because the
     diagonal is recomputed from the labels at propagation time.
     """
+    # Imported here so that importing pargue skips the CSV parser.
+    import csv
+
     try:
         rows = [r for r in csv.reader(io.StringIO(text)) if r]
     except csv.Error as exc:

@@ -1,31 +1,24 @@
-"""Result record shared by the query engine and the propagation layer."""
+"""Result record shared by the query engine and the propagation layer, a
+named tuple."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .af import Semantics
-from .beta import BetaLabel, FuzzyLabel
+_FIELDS = "mean variance matched fuzzy argument semantics mode circuit_nodes model_count"
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(namedtuple("QueryResult", _FIELDS, defaults=(None,) * 5)):
     """Moments of one acceptance query plus its rendered labels.
 
-    ``matched`` is the moment-matched beta label (degenerate when the
-    variance vanishes). The engine's queries set the identity and diagnostic
-    fields: ``model_count`` counts the target circuit, exact since every
+    ``mean`` and ``variance`` are floats, ``matched`` is the moment-matched
+    ``BetaLabel`` (degenerate when the variance vanishes) and ``fuzzy`` its
+    ``FuzzyLabel``. The engine's queries set the identity and diagnostic
+    fields, which default to None: ``argument``, ``semantics`` and ``mode``,
+    ``model_count``, which counts the target circuit, exact since every
     compiled circuit passes ``validate``, or is CF's closed-form ``prob_c``
     count, with ``circuit_nodes`` 0. ``propagate`` knows only the circuit and
     sets ``circuit_nodes`` alone.
     """
 
-    mean: float
-    variance: float
-    matched: BetaLabel
-    fuzzy: FuzzyLabel
-    argument: str | None = None
-    semantics: Semantics | None = None
-    mode: str | None = None
-    circuit_nodes: int | None = None
-    model_count: int | None = None
+    __slots__ = ()

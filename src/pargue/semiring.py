@@ -21,23 +21,19 @@ of them for the subset-maximal models).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import reduce
-from typing import Any, Callable, Iterable, Mapping
 
 from .circuit import Circuit
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Semiring:
-    """Commutative semiring: (plus, zero) and (times, one), times distributing."""
+class Semiring(namedtuple("Semiring", "name plus times zero one")):
+    """Commutative semiring: (plus, zero) and (times, one), times distributing.
+    ``plus`` and ``times`` are binary functions on its values."""
 
-    name: str
-    plus: Callable[[Any, Any], Any]
-    times: Callable[[Any, Any], Any]
-    zero: Any
-    one: Any
+    __slots__ = ()
 
 
 PROBABILITY = Semiring("probability", operator.add, operator.mul, 0.0, 1.0)
@@ -78,10 +74,10 @@ def _missing_label(var: str, positive: bool) -> InputError:
 class Labelling:
     """Total map from literals to semiring values."""
 
-    def __init__(self, values: Mapping[tuple[str, bool], Any]):
+    def __init__(self, values: Mapping[tuple[str, bool], object]):
         self._values = dict(values)
 
-    def __call__(self, var: str, positive: bool) -> Any:
+    def __call__(self, var: str, positive: bool) -> object:
         try:
             return self._values[(var, positive)]
         except KeyError:
@@ -100,11 +96,11 @@ class Labelling:
         return cls(values)
 
     @classmethod
-    def constant(cls, variables: Iterable[str], value: Any) -> "Labelling":
+    def constant(cls, variables: Iterable[str], value: object) -> "Labelling":
         """Label every literal of the given variables with one value."""
         return cls({(v, s): value for v in variables for s in (True, False)})
 
-    def conditioned(self, forced: Mapping[str, bool], zero: Any) -> "Labelling":
+    def conditioned(self, forced: Mapping[str, bool], zero: object) -> "Labelling":
         """Copy with every literal that contradicts ``forced`` labelled ``zero``."""
         copy = Labelling(self._values)
         for var, value in forced.items():
@@ -115,9 +111,9 @@ class Labelling:
 def _walk(
     circuit: Circuit,
     semiring: Semiring,
-    table: Mapping[tuple[str, bool], Any],
+    table: Mapping[tuple[str, bool], object],
     ids: Iterable[int] | None = None,
-) -> list[Any]:
+) -> list[object]:
     """Value of every node, read bottom-up; children precede parents.
 
     ``table`` maps literals to values. With ``ids``, a child-closed set of
@@ -125,7 +121,7 @@ def _walk(
     """
     nodes = circuit.nodes
     plus, times, zero, one = semiring.plus, semiring.times, semiring.zero, semiring.one
-    values: list[Any] = [None] * len(nodes)
+    values: list[object] = [None] * len(nodes)
     for i in range(len(nodes)) if ids is None else sorted(ids):
         node = nodes[i]
         kind = node.kind
@@ -148,7 +144,7 @@ def _walk(
     return values
 
 
-def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> Any:
+def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> object:
     """Algebraic model count: the root's value after one bottom-up pass."""
     return _walk(circuit, semiring, labelling._values)[circuit.root]
 

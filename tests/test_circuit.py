@@ -36,6 +36,7 @@ from pargue import (
     validate,
 )
 from pargue.af import _attacked_by, _characteristic_mask
+from pargue.circuit import _Builder
 from pargue.semiring import model_masks
 
 from conftest import clause_set, clause_sets, frameworks, literal_clauses, models, passed
@@ -112,6 +113,38 @@ def first_overlapping_disjunction(c):
         if node.kind == "or" and any(sum(row[k] for k in node.children) > 1 for row in rows):
             return i
     return None
+
+
+class TestNode:
+    def test_equal_fields_equal_nodes(self):
+        one = Node("or", children=(0, 1), decision="a")
+        two = Node("or", None, True, (0, 1), "a")
+        assert one == two and not one != two and hash(one) == hash(two)
+        assert len({one, two, Node("lit", var="a")}) == 2
+        assert repr(one) == "Node(kind='or', var=None, positive=True, children=(0, 1), decision='a')"
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Node("and", children=(0, 1), decision="a"),
+            Node("or", var="a", children=(0, 1), decision="a"),
+            Node("or", positive=False, children=(0, 1), decision="a"),
+            Node("or", children=(1, 0), decision="a"),
+            Node("or", children=(0, 1), decision="b"),
+            ("or", None, True, (0, 1), "a"),
+        ],
+    )
+    def test_any_field_differing_makes_nodes_unequal(self, other):
+        assert Node("or", children=(0, 1), decision="a") != other
+
+    def test_builder_interns_without_building_a_node(self):
+        builder = _Builder()
+        a, b = builder.literal("a", True), builder.literal("b", False)
+        first = builder.conj([a, b])
+        built = len(builder.nodes)
+        assert builder.conj([a, b]) == first and builder.conj([builder.true(), a, b]) == first
+        assert len(builder.nodes) == built + 1  # the true node alone
+        assert builder.nodes[first] == Node("and", children=(a, b))
 
 
 class TestCompile:
