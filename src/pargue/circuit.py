@@ -246,21 +246,18 @@ def compile_formula(theory: ClauseSet) -> Circuit:
     return Circuit(nodes, len(nodes) - 1, declared)
 
 
-def encode_enumerative(
-    names: Sequence[str], masks: Iterable[int], variables: Iterable[str] | None = None
-) -> Circuit:
-    """The circuit whose models are exactly ``masks``, bit i for ``names[i]``,
-    over ``names`` and any further ``variables`` in sorted order: PR's theory
-    and GR's constellation. Each name in turn is decided, true branch first,
-    on the mask tails still to place, memoised so equal tails share one node
-    and skipped where both branches give one node. A branch is its decision
-    literal, its child and gap nodes up to the decision's variables. At most
-    ``MAX_COMPILE_VARIABLES`` variables are declared, so the recursion is at
-    most 26 frames deep.
+def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
+    """The circuit over ``names`` whose models are exactly ``masks``, bit i
+    for ``names[i]``: PR's theory and GR's constellation. Each name in turn
+    is decided, true branch first, on the mask tails still to place,
+    memoised so equal tails share one node and skipped where both branches
+    give one node. A branch is its decision literal, its child and gap nodes
+    up to the decision's variables. At most ``MAX_COMPILE_VARIABLES`` names
+    are declared, so the recursion is at most 26 frames deep.
     """
     if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
         raise InputError(f"names must be distinct strings, got {list(names)!r}")
-    declared = tuple(sorted(set(names).union(variables or ())))
+    declared = tuple(names)
     _require_width(len(declared))
     tails = frozenset(masks)
     if not all(isinstance(m, int) and 0 <= m < 1 << len(names) for m in tails):

@@ -15,23 +15,18 @@ the engine builds their listed set straight into a circuit with
 ``circuit.encode_enumerative``, so ``encode`` has no PR case.
 
 The constellation encoding describes, for one query argument, every induced
-subgraph in which that argument is credulously accepted. Under CF it is a
-closed form. Under AD, CO, PR and GR, whether a subgraph accepts the
-argument depends only on the part of it inside the argument's relevance
-cone, the argument and every argument with an attack path to it: an
-admissible set holding the argument stays admissible when cut down to the
-cone, and for GR this is directionality (Baroni & Giacomin, AIJ 2007).
-Those constellations therefore constrain the cone's arguments alone, and
-the arguments outside it stay free, so the compiler pads them as gap
-nodes. ST keeps the whole framework, since a stable extension must attack
-every present argument outside it. Under AD, CO, PR and ST the theory is
-existential: beside the presence variables (the framework's ids, which are
-declared) it has one membership variable per constrained argument
-(``_member``), for an extension of the present subgraph that holds the
-query argument; compiling it projects the membership variables away and
-leaves the accepting subgraphs. GR has no such form:
-``_grounded_constellation`` lists them from a scan of every cone subgraph's
-fixed point (``_accepted``), a table that arguments with one cone share.
+subgraph of the framework it is handed in which that argument is
+credulously accepted. Under CF it is a closed form. Under AD, CO, PR and
+ST the theory is existential: beside the presence variables (the
+framework's ids, which are declared) it has one membership variable per
+argument (``_member``), for an extension of the present subgraph that
+holds the query argument; compiling it projects the membership variables
+away and leaves the accepting subgraphs. GR has no such form: the engine
+lists its accepting subgraphs from a scan of every subgraph's fixed point
+(``_accepted``). Which arguments a constellation covers is the engine's
+choice (``engine._compiled`` hands over the argument's relevance cone
+wherever acceptance depends on nothing else), so every encoding here
+covers the whole framework it is given.
 
 ``pargue/__init__.py`` re-exports the function ``encode`` under this
 module's name, so ``import pargue.encode as E`` binds the function, and an
@@ -47,11 +42,9 @@ from .af import (
     ArgumentationFramework,
     Semantics,
     _bits,
-    _cone_mask,
     _extension_masks,
     _semantics,
     extensions,
-    subgraph,
 )
 from .circuit import ClauseSet
 from .errors import CapacityError, InputError
@@ -156,17 +149,6 @@ def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ..
     )
 
 
-def _grounded_constellation(
-    af: ArgumentationFramework, argument: str
-) -> tuple[tuple[str, ...], list[int]]:
-    """The ids of the argument's relevance cone, and the masks over them of
-    the cone's subgraphs whose grounded extension holds the argument."""
-    cone = subgraph(af, af._members(_cone_mask(af, argument)))
-    bit = 1 << cone._index[argument]
-    table = _accepted(cone, Semantics.GR)
-    return cone.arguments, [sub for sub, union in enumerate(table) if union & bit]
-
-
 def _member(name: str) -> str:
     """Membership variable of an argument. The dot lies outside the
     argument-id alphabet, so it never names an argument."""
@@ -178,18 +160,16 @@ def encode_constellation(
 ) -> ClauseSet:
     """Theory of the induced subgraphs that credulously accept the argument.
 
-    The framework's ids are declared, then one membership variable per
-    constrained argument follows, sorted. Under CF the argument's singleton
-    is conflict-free unless it attacks itself, so the theory is the argument
-    itself, or false. Every other semantics but ST constrains the arguments
-    of the argument's relevance cone alone. GR has no theory: its accepting
-    subgraphs are listed by ``_grounded_constellation``. Under AD, CO, PR and
-    ST the models, projected onto the argument ids, name the arguments
-    present in one accepting subgraph: the membership variables describe an
-    extension of that subgraph holding the argument, which is conflict-free
-    and inside the subgraph; under AD (and CO and PR, whose credulous
-    acceptance is the same, Dung 1995) it attacks every present attacker of
-    a member, and under ST every present non-member.
+    The framework's ids are declared, then argument x's membership variable
+    follows as bit n + x. Under CF the argument's singleton is conflict-free
+    unless it attacks itself, so the theory is the argument itself, or
+    false. GR has no theory: the engine lists its accepting subgraphs. Under
+    AD, CO, PR and ST the models, projected onto the argument ids, name the
+    arguments present in one accepting subgraph: the membership variables
+    describe an extension of that subgraph holding the argument, which is
+    conflict-free and inside the subgraph; under AD (and CO and PR, whose
+    credulous acceptance is the same, Dung 1995) it attacks every present
+    attacker of a member, and under ST every present non-member.
     """
     semantics = _semantics(semantics)
     index = af._require(argument)
@@ -201,24 +181,16 @@ def encode_constellation(
         raise InputError(
             "no constellation theory for GR; list its accepting subgraphs with encode_enumerative"
         )
-    # The cone holds every attacker of its members, so no mask below needs cutting.
-    scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
-    inside = list(_bits(scope))
-    member = {x: 1 << n + k for k, x in enumerate(inside)}
-
-    def members(mask: int) -> int:
-        return reduce(int.__or__, (member[x] for x in _bits(mask)), 0)
-
-    clauses = [(member[index], 0)]
-    for x in inside:
-        m, attacked_by = member[x], attackers[x]
+    clauses = [(1 << n + index, 0)]
+    for x, attacked_by in enumerate(attackers):
+        m = 1 << n + x
         clauses.append((1 << x, m))  # a member is present
-        clauses += ((0, m | member[s]) for s in _bits(attacked_by))  # members conflict-free
+        clauses += ((0, m | 1 << n + s) for s in _bits(attacked_by))  # members conflict-free
         if semantics is Semantics.ST:
             # A present argument is a member or attacked by one.
-            clauses.append((m | members(attacked_by), 1 << x))
+            clauses.append((m | attacked_by << n, 1 << x))
         else:
             # A present attacker b of a member is attacked by a member.
-            clauses += ((members(attackers[b]), m | 1 << b) for b in _bits(attacked_by))
-    names = (*af.arguments, *(_member(af.arguments[x]) for x in inside))
+            clauses += ((attackers[b] << n, m | 1 << b) for b in _bits(attacked_by))
+    names = (*af.arguments, *map(_member, af.arguments))
     return ClauseSet(names, n, tuple(clauses))

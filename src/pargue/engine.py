@@ -13,11 +13,13 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   lists the subgraphs its fixed point accepts. With no attack cycle every
   subgraph has one complete extension, which is grounded, preferred and
   stable (Dung 1995, Thm 30), so GR on an acyclic cone, and ST on an
-  acyclic framework, share AD's too. AD's and GR's are encoded on the
-  argument's relevance cone alone, ST's on the whole framework, and each
-  is compiled over every argument, so model counts range over all of
-  them. CF's is answered in closed form, with no circuit: the argument's
-  own label, or 0 if it attacks itself.
+  acyclic framework, share AD's too. ``_compiled`` alone decides what a
+  constellation covers: the argument's relevance cone, or under ST the
+  whole framework. A cone's circuit mentions the cone's arguments alone:
+  each argument outside it is a factor p + (1 - p) = 1 of the mean, with
+  no gradient, and doubles the model count. CF's is answered in
+  closed form, with no circuit: the argument's own label, or 0 if it
+  attacks itself.
 
 Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
@@ -40,13 +42,14 @@ from collections.abc import Mapping
 from functools import lru_cache
 
 from .af import (
-    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask, _semantics
+    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask, _semantics,
+    subgraph,
 )
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import (
     Circuit, _require_width, compile_formula, condition, encode_enumerative, model_count
 )
-from .encode import _accepted, _grounded_constellation, encode, encode_constellation
+from .encode import _accepted, encode, encode_constellation
 from .errors import CapacityError, InputError
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
@@ -122,23 +125,33 @@ def _compiled(
 
     ``argument=None`` gives the framework's theory, an argument name that
     argument's constellation. Always pass all three arguments, so that each
-    target has one cache key.
+    target has one cache key. A constellation's scope is the whole
+    framework under ST, the argument's relevance cone otherwise: whether a
+    subgraph accepts the argument depends only on its part inside the cone
+    (Baroni & Giacomin 2007). A target whose scope is narrower is the cone
+    subgraph's, its model count shifted by the arguments outside, so it
+    takes two of the 256 entries, which share one circuit.
     """
+    if argument is not None:
+        scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
+        # With no attack cycle the constellation is AD's (Dung 1995, Thm 30):
+        # GR's needs its cone acyclic, ST's the whole framework.
+        if semantics in (Semantics.GR, Semantics.ST) and _acyclic(af, scope):
+            return _compiled(af, Semantics.AD, argument)
+        if scope != af._full_mask:
+            cone = subgraph(af, af._members(scope))
+            circuit, count = _compiled(cone, semantics, argument)
+            return circuit, count << len(af.arguments) - len(cone.arguments)
     # Refused before encoding; a theory eliminates at most one membership
     # variable or auxiliary per argument.
     _require_width(len(af.arguments))
-    if argument is not None and semantics in (Semantics.GR, Semantics.ST):
-        # With no attack cycle the constellation is AD's (Dung 1995, Thm 30):
-        # GR's needs its cone acyclic, ST's the whole framework.
-        scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
-        if _acyclic(af, scope):
-            return _compiled(af, Semantics.AD, argument)
     if argument is None and semantics is Semantics.PR:
         complete = _compiled(af, Semantics.CO, None)[0]
         circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
     elif argument is not None and semantics is Semantics.GR:
-        names, masks = _grounded_constellation(af, argument)
-        circuit = encode_enumerative(names, masks, af.arguments)
+        bit = 1 << af._index[argument]
+        masks = [sub for sub, union in enumerate(_accepted(af, Semantics.GR)) if union & bit]
+        circuit = encode_enumerative(af.arguments, masks)
     elif argument is None:
         circuit = compile_formula(encode(af, semantics))
     else:
@@ -208,7 +221,7 @@ def _conflict_free_c(
     mean = graph.means(argument, True) if accepted else 0.0
     variance = graph.variances[argument] if accepted else 0.0
     if covariance is not None:
-        variance = _with_covariance(variance, grads, graph.variances, covariance, af.arguments)
+        variance = _with_covariance(variance, grads, graph.variances, covariance)
     count = 1 << len(af.arguments) - 1 if accepted else 0
     return MomentPair(mean, variance), count
 
@@ -312,9 +325,11 @@ def mc_oracle(
 ) -> MomentPair:
     """Monte-Carlo moments: sample label draws, evaluate the circuit on each.
 
-    Deterministic for a fixed seed; draws are consumed in sorted argument
-    order in fixed-size chunks. The circuit is conditioned by rebuilding it,
-    independently of the labelling route the queries take.
+    Deterministic for a fixed seed; draws are consumed in fixed-size chunks
+    for the circuit's variables alone, in their sorted order, so a
+    constellation draws for its cone's arguments only. The circuit is
+    conditioned by rebuilding it, independently of the labelling route the
+    queries take.
     """
     # Imported here so that importing pargue, and every query, skips numpy.
     import numpy as np
@@ -339,7 +354,7 @@ def mc_oracle(
     while done < samples:
         chunk = min(_MC_CHUNK, samples - done)
         draws = {}
-        for name in af.arguments:
+        for name in circuit.variables:
             label = labels[name]
             if label.is_degenerate:
                 draws[name] = np.full(chunk, label.point)

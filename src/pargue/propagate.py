@@ -192,7 +192,7 @@ def _answer(
         grads = _backward(circuit, values, forced)
         variance = sum(grads[v] * grads[v] * variances[v] for v in circuit.variables)
         if covariance is not None:
-            variance = _with_covariance(variance, grads, variances, covariance, circuit.variables)
+            variance = _with_covariance(variance, grads, variances, covariance)
         variance = max(variance, 0.0)
     return MomentPair(mean, variance)
 
@@ -202,15 +202,14 @@ def _with_covariance(
     grads: Mapping[str, float],
     variances: Mapping[str, float],
     covariance: CovarianceSpec,
-    variables: tuple[str, ...],
 ) -> float:
     """``variance`` plus the delta method's cross terms 2 g_a g_b cov(a, b).
 
-    Refuses a covariance over arguments outside ``variables``, and warns on
-    one past the Cauchy-Schwarz bound of the two label variances. A
-    variable missing from ``grads`` has gradient zero.
+    Refuses a covariance over arguments that ``variances`` does not label,
+    and warns on one past the Cauchy-Schwarz bound of the two label
+    variances. A variable missing from ``grads`` has gradient zero.
     """
-    unknown = [a for a in covariance.arguments if a not in variables]
+    unknown = [a for a in covariance.arguments if a not in variances]
     if unknown:
         raise InputError(f"covariance over unknown arguments: {', '.join(unknown)}")
     for (a, b), value in sorted(covariance.off_diagonal.items()):

@@ -138,6 +138,25 @@ def passed(report) -> bool:
     return report.decomposable and report.deterministic and report.smooth
 
 
+def lifted_models(af: ArgumentationFramework, circuit) -> list[int]:
+    """The circuit's models as masks over the framework's ids, each lifted by
+    every subset of the framework's arguments the circuit does not mention."""
+    from pargue.semiring import model_masks
+
+    at = [af._index[v] for v in circuit.variables]
+    outside = af._full_mask & ~sum(1 << i for i in at)
+    lifted = []
+    for m in model_masks(circuit):
+        inside = sum(1 << i for j, i in enumerate(at) if m >> j & 1)
+        free = outside
+        while True:  # every subset of outside, free included
+            lifted.append(inside | free)
+            if not free:
+                break
+            free = free - 1 & outside
+    return lifted
+
+
 def random_beta_labels(
     rng: random.Random, af: ArgumentationFramework
 ) -> dict[str, BetaLabel]:

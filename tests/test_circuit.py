@@ -305,25 +305,17 @@ class TestCompile:
 
     @given(
         st.integers(0, 5).flatmap(
-            lambda n: st.tuples(
-                st.just(n), st.sets(st.integers(0, (1 << n) - 1)), st.integers(0, 2)
-            )
+            lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
         )
     )
     def test_decision_form_keeps_exactly_the_masks(self, case):
-        n, masks, wider = case
-        # The declared extras are free: each mask once per assignment to them.
+        n, masks = case
         names = [f"v{i}" for i in range(n)]
-        extras = [f"w{i}" for i in range(wider)]
-        c = encode_enumerative(names, masks, names + extras)
+        c = encode_enumerative(names, masks)
         assert passed(validate(c))
-        got = [frozenset(v for i, v in enumerate(c.variables) if m >> i & 1) for m in model_masks(c)]
-        want = {
-            frozenset(v for i, v in enumerate(names + extras) if (m | e << n) >> i & 1)
-            for m in masks
-            for e in range(1 << wider)
-        }
-        assert len(got) == len(want) and set(got) == want
+        assert c.variables == tuple(names)
+        got = model_masks(c)
+        assert len(got) == len(masks) and set(got) == masks
 
     def test_decision_form_is_translated_without_clauses(self, monkeypatch):
         def refuse(*args):

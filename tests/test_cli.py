@@ -358,21 +358,27 @@ class TestExitCodes:
     ):
         # GR meets no enumeration cap; the compile cap refuses a chain longer
         # than the recursion limit before its fixed point runs or its theory
-        # is encoded.
+        # is encoded. n_i attacks n_{i+1}, so the last argument's cone is the
+        # whole chain, and the first argument's is itself.
         calls = []
         engine, encode = pargue.engine, sys.modules["pargue.encode"]
-        for module, name in ((engine, "encode"), (engine, "encode_constellation"),
-                             (encode, "extensions"), (encode, "_extension_masks")):
-            monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
         n = max(1200, sys.getrecursionlimit() + 100)
         names = [f"n{i}" for i in range(n)]
         af_path, label_path = tmp_path / "chain.apx", tmp_path / "chain_labels.apx"
         af_path.write_text(format_af(ArgumentationFramework(names, list(zip(names, names[1:])))))
         label_path.write_text("".join(f"prob({name},0.5).\n" for name in names))
-        for mode in ("prob", "prob-c"):
-            argv = ["query", "-f", str(af_path), "-l", str(label_path), "-s", "GR",
-                    "-a", "n0", "--mode", mode]
-            assert run(argv) == 2
+
+        def argv(argument, mode):
+            return ["query", "-f", str(af_path), "-l", str(label_path), "-s", "GR",
+                    "-a", argument, "--mode", mode]
+
+        assert run(argv("n0", "prob-c")) == 0
+        assert capsys.readouterr().out.startswith("prob_c(n0, GR) mean=0.5 ")
+        for module, name in ((engine, "encode"), (engine, "encode_constellation"),
+                             (encode, "extensions"), (encode, "_extension_masks")):
+            monkeypatch.setattr(module, name, lambda *args, _name=name: calls.append(_name))
+        for argument, mode in (("n0", "prob"), (names[-1], "prob-c")):
+            assert run(argv(argument, mode)) == 2
             assert capsys.readouterr().err == (
                 f"capacity: compilation supports at most 25 variables, got {n}\n"
             )

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pargue
-from conftest import backward_gradients, frameworks, passed, random_beta_labels
+from conftest import (
+    backward_gradients, frameworks, lifted_models, passed, random_beta_labels
+)
 from pargue import (
     ArgumentationFramework,
     BetaLabel,
@@ -33,11 +35,11 @@ from pargue import (
     propagate,
 )
 from pargue import encode, encode_constellation, engine, extensions, subgraph
-from pargue.af import _cone_mask
+from pargue.af import _acyclic, _cone_mask
 from pargue.circuit import validate
 from pargue.encode import _accepted
 from pargue.engine import _compiled
-from pargue.semiring import PROBABILITY, Labelling, evaluate, model_masks
+from pargue.semiring import PROBABILITY, Labelling, evaluate
 
 CHAIN = ArgumentationFramework("abc", [("a", "b"), ("b", "c")])
 
@@ -420,7 +422,7 @@ class TestConstellationScan:
                 for semantics in (Semantics.AD, Semantics.CO, Semantics.PR, Semantics.ST):
                     _compiled(af, semantics, name)
         assert calls == []
-        encode_module._grounded_constellation(loop, "b")
+        _compiled(loop, Semantics.GR, "b")  # a cyclic cone: GR scans its subgraphs
         assert calls
 
     def test_cf_closed_form_past_the_scan_limit(self):
@@ -440,6 +442,8 @@ class TestProjectedConstellation:
 
     @given(frameworks(max_args=6), st.randoms(use_true_random=False))
     def test_circuits_match_the_scan(self, af, rng):
+        # A cone's circuit, lifted by the free arguments outside it, has the
+        # accepting subgraphs of the whole framework as its models.
         graph = ProbabilisticGraph(af, random_beta_labels(rng, af))
         for semantics in Semantics:
             table = _accepted(af, semantics)
@@ -448,7 +452,7 @@ class TestProjectedConstellation:
                 circuit, count = _compiled(af, semantics, name)
                 assert passed(validate(circuit))
                 want = sorted(sub for sub, union in enumerate(table) if union & bit)
-                assert sorted(model_masks(circuit)) == want and count == len(want)
+                assert sorted(lifted_models(af, circuit)) == want and count == len(want)
                 exact = brute_force_prob_c(graph, semantics, name)
                 assert prob_c(graph, semantics, name).mean == pytest.approx(
                     exact.mean, abs=1e-12
@@ -510,6 +514,54 @@ class TestRelevanceCone:
         # The chain's end has every argument in its cone.
         with pytest.raises(CapacityError):
             prob_c(ProbabilisticGraph(af, labels), Semantics.GR, "x21")
+
+    def test_small_cones_of_a_long_chain(self):
+        # n_i attacks n_{i+1}: the cone of n_k is n_0..n_k, so a query
+        # compiles k + 1 arguments whatever the chain's length. A subgraph
+        # accepts n_k when n_k is present and n_{k-1} is not accepted, so
+        # its probability is q_k = p_k (1 - q_{k-1}).
+        names = [f"n{i:04d}" for i in range(1200)]
+        af = ArgumentationFramework(names, list(zip(names, names[1:])))
+        p = [0.3 + (i % 7) / 10 for i in range(1200)]
+        graph = ProbabilisticGraph(af, dict(zip(names, p)))
+        q = [p[0]]
+        for i in range(1, 20):
+            q.append(p[i] * (1.0 - q[-1]))
+        for k in (0, 9, 19):
+            cone = subgraph(af, names[: k + 1])
+            for semantics in (Semantics.AD, Semantics.GR):
+                result = prob_c(graph, semantics, names[k])
+                assert result.mean == pytest.approx(q[k], abs=1e-12)
+                circuit, count = _compiled(af, semantics, names[k])
+                assert circuit.variables == cone.arguments
+                inside = _compiled(cone, semantics, names[k])[1]
+                assert count == result.model_count == inside << 1199 - k
+
+    @given(frameworks(max_args=7))
+    def test_circuits_stay_inside_the_scope(self, af):
+        # A constellation circuit mentions its scope's arguments alone: the
+        # cone, or under ST the whole framework unless it is acyclic.
+        for name in af.arguments:
+            cone = af._members(_cone_mask(af, name))
+            for semantics in Semantics:
+                circuit = _compiled(af, semantics, name)[0]
+                scope = cone
+                if semantics is Semantics.ST and not _acyclic(af, af._full_mask):
+                    scope = set(af.arguments)
+                assert set(circuit.variables) == scope, (semantics, name)
+                assert {node.var for node in circuit.nodes if node.var} <= scope
+
+    def test_covariance_outside_the_cone_changes_nothing(self):
+        # c's cone is {a, b, c}; d, e and f lie outside it.
+        af = ArgumentationFramework("abcdef", [("a", "c"), ("b", "c"), ("c", "d")])
+        labels = {name: BetaLabel(2.0 + i, 3.0) for i, name in enumerate("abcdef")}
+        graph = ProbabilisticGraph(af, labels)
+        inside = CovarianceSpec.from_pairs("abcdef", {("a", "b"): 0.001})
+        both = CovarianceSpec.from_pairs("abcdef", {("a", "b"): 0.001, ("d", "e"): 0.002})
+        for semantics in (Semantics.AD, Semantics.GR, Semantics.CO):
+            want = prob_c(graph, semantics, "c", covariance=inside)
+            assert prob_c(graph, semantics, "c", covariance=both) == want
+            assert want.variance != prob_c(graph, semantics, "c").variance
 
     def test_cf_prob_c_builds_no_circuit(self, monkeypatch, example_af, example_labels):
         calls = []
@@ -787,6 +839,17 @@ class TestMonteCarlo:
         got = mc_oracle(example_graph, Semantics.AD, "c", "prob-c", 20000, seed=0)
         assert got.mean == pytest.approx(exact.mean, abs=0.005)
 
+    def test_constellation_draws_for_its_cone_alone(self):
+        # n0000 heads a 1,200-argument chain, so its cone is itself: the
+        # estimate takes the same draws as on n0000 alone, and no others.
+        names = [f"n{i:04d}" for i in range(1200)]
+        chain = ArgumentationFramework(names, list(zip(names, names[1:])))
+        label = BetaLabel(2.0, 3.0)
+        graph = ProbabilisticGraph(chain, dict.fromkeys(names, label))
+        alone = ProbabilisticGraph(ArgumentationFramework(["n0000"]), {"n0000": label})
+        got = mc_oracle(graph, Semantics.AD, "n0000", "prob-c", 1000, seed=5)
+        assert got == mc_oracle(alone, Semantics.AD, "n0000", "prob-c", 1000, seed=5)
+
     def test_point_labels_collapse_to_exact_value(self, example_af):
         graph = ProbabilisticGraph(example_af, {name: 0.5 for name in "abcd"})
         got = mc_oracle(graph, Semantics.AD, "d", "prob", 1000, seed=3)
@@ -894,6 +957,7 @@ class TestGuards:
 
     def test_compile_capacity_refuses_before_encoding(self, monkeypatch):
         # A 1,200-argument chain: GR's fixed point alone takes 600 rounds.
+        # n_i attacks n_{i+1}, so the last argument's cone is the whole chain.
         calls = []
         encode_module = importlib.import_module("pargue.encode")
         for module, name in ((engine, "encode"), (engine, "encode_constellation"),
@@ -904,14 +968,14 @@ class TestGuards:
         af = ArgumentationFramework(names, list(zip(names, names[1:])))
         graph = ProbabilisticGraph(af, {name: 0.5 for name in names})
         for semantics in Semantics:
-            for query in (prob, prob_c):
+            for query, argument in ((prob, "n0000"), (prob_c, names[-1])):
                 if (query, semantics) == (prob_c, Semantics.CF):
                     continue
                 with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
-                    query(graph, semantics, "n0000")
+                    query(graph, semantics, argument)
         # CF's prob_c has a closed form with no size limit.
         result = prob_c(graph, Semantics.CF, "n0000")
         assert (result.mean, result.model_count, result.circuit_nodes) == (0.5, 2**1199, 0)
         with pytest.raises(CapacityError, match="at most 25 variables, got 1200"):
-            mc_oracle(graph, Semantics.GR, "n0000", "prob-c", samples=1, seed=0)
+            mc_oracle(graph, Semantics.GR, names[-1], "prob-c", samples=1, seed=0)
         assert calls == []

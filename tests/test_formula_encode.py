@@ -25,11 +25,13 @@ from pargue import (
     prob_c,
     subgraph,
 )
-from pargue.encode import _accepted, _grounded_constellation
+from pargue.encode import _accepted
 from pargue.engine import _compiled
 from pargue.semiring import model_masks
 
-from conftest import clause_set, frameworks, literal_clauses, models, random_framework, satisfies
+from conftest import (
+    clause_set, frameworks, lifted_models, literal_clauses, models, random_framework, satisfies
+)
 
 DIRECT = [Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST]
 
@@ -289,24 +291,33 @@ class TestConstellationEncoding:
     def test_capacity(self):
         # GR scans every subgraph's fixed point of the argument's cone, up to
         # 20 arguments. AD compiles its existential theory and meets only the
-        # 25-variable compile cap, counted on the framework's argument ids.
+        # 25-variable compile cap, counted on the cone's argument ids.
         names = [f"x{i:02d}" for i in range(21)]
         af = ArgumentationFramework(names, [("x00", "x01"), ("x01", "x00"), ("x02", "x03")])
-        # The cone of x00 is {x00, x01}: only x00 present, or both, accept it.
-        cone, masks = _grounded_constellation(af, "x00")
-        assert (cone, masks) == (("x00", "x01"), [0b01])
-        chain = ArgumentationFramework(names, list(zip(names[1:], names)))
-        with pytest.raises(CapacityError):
-            _grounded_constellation(chain, "x00")
         graph = ProbabilisticGraph(af, {name: 0.25 + i / 100 for i, name in enumerate(names)})
+        # The cone of x00 is {x00, x01}: only x00 present, not both, makes
+        # x00 grounded, beside any of the other 19.
+        assert _compiled(af, Semantics.GR, "x00")[0].variables == ("x00", "x01")
+        result = prob_c(graph, Semantics.GR, "x00")
+        assert result.mean == pytest.approx(0.25 * 0.74, abs=1e-15)
+        assert result.model_count == 2**19
+        cycle = ArgumentationFramework(names, list(zip(names, names[1:] + names[:1])))
+        with pytest.raises(CapacityError, match="at most 20 arguments, got 21"):
+            prob_c(ProbabilisticGraph(cycle, graph.labels), Semantics.GR, "x00")
         # x00 defends itself against x01, so every subgraph holding it accepts it.
         result = prob_c(graph, Semantics.AD, "x00")
         assert result.mean == pytest.approx(0.25, abs=1e-15)
         assert result.model_count == 2**20
-        wide = ArgumentationFramework([f"x{i:02d}" for i in range(26)])
-        graph = ProbabilisticGraph(wide, {name: 0.5 for name in wide.arguments})
-        with pytest.raises(CapacityError):
-            prob_c(graph, Semantics.AD, "x00")
+        # 26 unattacked arguments: x00's cone is itself, and it answers; on a
+        # 26-cycle its cone is all 26, and it is refused.
+        wide = [f"x{i:02d}" for i in range(26)]
+        labels = {name: 0.5 for name in wide}
+        free = ProbabilisticGraph(ArgumentationFramework(wide), labels)
+        result = prob_c(free, Semantics.AD, "x00")
+        assert (result.mean, result.model_count) == (0.5, 2**25)
+        cycle = ArgumentationFramework(wide, list(zip(wide, wide[1:] + wide[:1])))
+        with pytest.raises(CapacityError, match="at most 25 variables, got 26"):
+            prob_c(ProbabilisticGraph(cycle, labels), Semantics.AD, "x00")
 
     @given(frameworks(max_args=5))
     def test_models_are_accepting_subgraphs(self, af):
@@ -314,7 +325,7 @@ class TestConstellationEncoding:
         for semantics in Semantics:
             for name in names:
                 circuit, _ = _compiled(af, semantics, name)
-                got = {tuple(sorted(af._members(m))) for m in model_masks(circuit)}
+                got = {tuple(sorted(af._members(m))) for m in lifted_models(af, circuit)}
                 want = set()
                 for mask in range(1 << len(names)):
                     members = {names[i] for i in range(len(names)) if mask >> i & 1}
