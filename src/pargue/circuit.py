@@ -23,6 +23,13 @@ all variables, eliminated ones included; and a component that mentions no
 kept variable becomes the true or the false node by a satisfiability check.
 Only kept variables make disjunctions, so the circuit stays deterministic.
 
+A ``Compiler`` keeps one clause set's search, its arena and component
+cache, across circuits: each circuit assumes a set of variables true, as
+if they were unit clauses, and shares every component the earlier ones
+met. ``compile_formula`` is a compiler's one circuit with nothing assumed.
+Each circuit is renumbered in depth-first post-order from its root, so it
+is the same whatever else the arena holds.
+
 A listed model set (``encode_enumerative``) needs no search: deciding its
 names in order, equal tails sharing a node, builds a reduced ordered
 decision diagram (Bryant, IEEE ToC 1986) straight into circuit nodes.
@@ -39,7 +46,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .af import _bits
 from .errors import CapacityError, InputError
@@ -222,6 +229,39 @@ def _require_width(variables: int, eliminated: int = 0) -> None:
             raise CapacityError(f"compilation supports at most {MAX_COMPILE_VARIABLES} {kind}, got {count}")
 
 
+class Compiler:
+    """One clause set's search, kept across the circuits compiled from it.
+
+    ``circuit(assume)`` compiles the clause set with the bits of ``assume``
+    set true, as if each were a unit clause. The occurrence lists, the node
+    arena and the component cache are built once and serve every
+    assumption: a component's (clause-id mask, variable mask) key names its
+    residual whatever was assumed, so each cache hit is sound. A circuit
+    equals ``compile_formula`` of the clause set with the assumed unit
+    clauses added, node for node, whatever the compiler built before.
+
+    The arena and the cache only grow: a compiler holds every node and
+    component of every circuit compiled from it, so its memory is at most
+    the sum of those compiles' searches. Whoever keeps compilers bounds
+    how many.
+    """
+
+    def __init__(self, theory: ClauseSet) -> None:
+        self.variables = theory.names[: theory.declared]
+        self._width = len(theory.names)
+        _require_width(len(self.variables), self._width - len(self.variables))
+        self._builder = _Builder()
+        self._root = _search(self._builder, theory.clauses, self._width, self.variables)
+
+    def circuit(self, assume: int = 0) -> Circuit:
+        """The circuit over the declared names of the clause set with the
+        bits of ``assume`` true, kept or eliminated ones alike."""
+        if not isinstance(assume, int) or not 0 <= assume < 1 << self._width:
+            raise InputError(f"assumptions must be a mask below 2**{self._width}, got {assume!r}")
+        nodes = _reachable(self._builder.nodes, self._root(assume))
+        return Circuit(nodes, len(nodes) - 1, self.variables)
+
+
 def compile_formula(theory: ClauseSet) -> Circuit:
     """Compile a clause set to a smooth deterministic decomposable circuit
     over its declared names.
@@ -238,12 +278,7 @@ def compile_formula(theory: ClauseSet) -> Circuit:
     satisfiability check, never in a frame of their own, so the search
     recurses at most two frames per decided kept variable, plus one.
     """
-    declared = theory.names[: theory.declared]
-    _require_width(len(declared), len(theory.names) - len(declared))
-    builder = _Builder()
-    root = _search(builder, theory.clauses, len(theory.names), declared)
-    nodes = _reachable(builder.nodes, root)
-    return Circuit(nodes, len(nodes) - 1, declared)
+    return Compiler(theory).circuit(0)
 
 
 def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
@@ -296,10 +331,11 @@ def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
 
 def _search(
     builder: _Builder, clauses: Sequence[tuple[int, int]], width: int, declared: Sequence[str]
-) -> int:
-    """The root node for ``clauses`` over ``width`` variable bits, of which
-    the low ``len(declared)`` are the declared variables and the rest are
-    eliminated."""
+) -> Callable[[int], int]:
+    """The function giving the root node for ``clauses`` over ``width``
+    variable bits with the bits of its argument set true. The low
+    ``len(declared)`` bits are the declared variables, the rest are
+    eliminated. Every call shares one component cache."""
     kept = (1 << len(declared)) - 1
     hidden = ((1 << width) - 1) ^ kept
     pos_occ, neg_occ = [0] * width, [0] * width
@@ -437,25 +473,39 @@ def _search(
     for p, n in clauses:
         if not (p | n) & (p | n) - 1:
             if not p | n:  # the empty clause
-                return false
+                return lambda assume: false
             on |= p
             off |= n
-    return expand((1 << len(clauses)) - 1, (1 << width) - 1, kept, 0, on, off)
+    live, free = (1 << len(clauses)) - 1, (1 << width) - 1
+    return lambda assume: expand(live, free, kept, 0, on | assume, off)
 
 
 def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
-    """The nodes ``root`` reaches, renumbered in arena order.
+    """The nodes ``root`` reaches, renumbered in depth-first post-order.
 
-    Simplification leaves nodes the root no longer reaches; arena order keeps
-    children before parents and puts the root last.
+    Simplification, and every other circuit built in the same arena, leave
+    nodes the root does not reach. Post-order from the root, children in
+    their stored order, keeps children before parents, puts the root last,
+    and numbers a circuit the same whatever else the arena holds.
     """
-    keep = _closure(nodes, root)
-    position = {old: new for new, old in enumerate(keep)}
+    position: dict[int, int] = {}
+    stack = [(root, iter(nodes[root].children))]
+    while stack:
+        index, children = stack[-1]
+        for c in children:
+            # A child still on the stack would close a cycle, so a child
+            # without a position is new.
+            if c not in position:
+                stack.append((c, iter(nodes[c].children)))
+                break
+        else:
+            stack.pop()
+            position[index] = len(position)
     return tuple(
         Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
         if n.children
         else n
-        for n in (nodes[i] for i in keep)
+        for n in (nodes[i] for i in position)
     )
 
 

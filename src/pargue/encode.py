@@ -14,19 +14,22 @@ preferred extensions are exactly the maximal complete ones (Dung 1995), and
 the engine builds their listed set straight into a circuit with
 ``circuit.encode_enumerative``, so ``encode`` has no PR case.
 
-The constellation encoding describes, for one query argument, every induced
-subgraph of the framework it is handed in which that argument is
-credulously accepted. Under CF it is a closed form. Under AD, CO, PR and
-ST the theory is existential: beside the presence variables (the
-framework's ids, which are declared) it has one membership variable per
-argument (``_member``), for an extension of the present subgraph that
-holds the query argument; compiling it projects the membership variables
-away and leaves the accepting subgraphs. GR has no such form: the engine
-lists its accepting subgraphs from a scan of every subgraph's fixed point
-(``_accepted``). Which arguments a constellation covers is the engine's
-choice (``engine._compiled`` hands over the argument's relevance cone
-wherever acceptance depends on nothing else), so every encoding here
-covers the whole framework it is given.
+The constellation encoding describes, for every argument of the framework
+it is handed at once, the induced subgraphs in which that argument is
+credulously accepted. Under CF, AD, CO, PR and ST the theory is
+existential: beside the presence variables (the framework's ids, which are
+declared) it has one membership variable per argument (``_member``), for an
+extension of the present subgraph; one argument's constellation is the
+theory with its membership variable set true, and compiling it projects
+the membership variables away and leaves the accepting subgraphs. GR has
+no such form: ``_grounded_table`` labels every subgraph at once on
+bit-sliced ints, and the engine lists the subgraphs whose grounded
+extension holds the argument. Which arguments a constellation covers is
+the engine's choice (``engine._compiled`` hands over the argument's
+relevance cone wherever acceptance depends on nothing else), so every
+encoding here covers the whole framework it is given. ``_accepted``, one
+fixed point or subset scan per subgraph, serves the brute-force oracle
+alone.
 
 ``pargue/__init__.py`` re-exports the function ``encode`` under this
 module's name, so ``import pargue.encode as E`` binds the function, and an
@@ -46,13 +49,13 @@ from .af import (
     _semantics,
     extensions,
 )
-from .circuit import ClauseSet
+from .circuit import ClauseSet, _variable_pattern
 from .errors import CapacityError, InputError
 
-# The acceptance table visits every subgraph of the framework it is built
-# for: 2^n fixed points under GR, where GR's constellation builds it for the
-# argument's cone, so n counts cone arguments; 3^n (subgraph, subset) pairs
-# under the other semantics (the prob-c oracle, on the whole framework).
+# The acceptance tables hold one bit or entry per subgraph of the framework
+# they are built for: GR's constellation builds 2^n-bit labellings for the
+# argument's cyclic cone, so n counts cone arguments; the prob-c oracle
+# visits 3^n (subgraph, subset) pairs of the whole framework.
 MAX_CONSTELLATION_ARGUMENTS = 20
 
 
@@ -129,24 +132,74 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
     return ClauseSet(names, n, tuple(clauses))
 
 
-# Keyed on the framework the table is built for: an argument's cone subgraph
-# for GR's constellation, the whole framework for the prob-c oracle. One
-# prob-c benchmark pass builds at most one GR table per argument (57), and
-# the process that checks it against the oracles 36 (framework, semantics)
-# tables; each fits.
+# The brute-force prob-c oracle's table, keyed on the whole framework; no
+# query answers from it. The process that checks the engine against the
+# oracles builds 36 (framework, semantics) tables; each fits.
 @lru_cache(maxsize=64)
 def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
     """Per subgraph mask, the union of the induced subgraph's extensions:
     the arguments credulously accepted there."""
+    _require_table(af)
+    return tuple(
+        reduce(int.__or__, _extension_masks(af, sub, semantics), 0)
+        for sub in range(1 << len(af.arguments))
+    )
+
+
+def _require_table(af: ArgumentationFramework) -> None:
     if len(af.arguments) > MAX_CONSTELLATION_ARGUMENTS:
         raise CapacityError(
             f"subgraph acceptance table supports at most {MAX_CONSTELLATION_ARGUMENTS} "
             f"arguments, got {len(af.arguments)}"
         )
-    return tuple(
-        reduce(int.__or__, _extension_masks(af, sub, semantics), 0)
-        for sub in range(1 << len(af.arguments))
-    )
+
+
+# Keyed on the cyclic cone subgraph GR's constellation is built for; bounded
+# like _accepted. A table holds one 2^k-bit int per argument, 2.5 MB at
+# k = 20.
+@lru_cache(maxsize=64)
+def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
+    """Per argument x, the int whose bit S is set iff x is in the grounded
+    extension of the subgraph induced by mask S.
+
+    Every subgraph's grounded labelling is computed at once on bit-sliced
+    ints, one bit per subgraph (Caminada, JELIA 2006). From all arguments
+    undecided, x is labelled IN where it is present and every present
+    attacker is OUT, and OUT where it is present and some present attacker
+    is IN, until nothing changes: the least fixed point, which is the
+    grounded labelling of each subgraph.
+    """
+    _require_table(af)
+    n = len(af.arguments)
+    present = [_variable_pattern(x, n) for x in range(n)]
+    full = (1 << (1 << n)) - 1
+    absent = [full ^ p for p in present]
+    attackers = [tuple(_bits(mask)) for mask in af._attacker_masks]
+    labelled_in, labelled_out = [0] * n, [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            inside, hit = present[x], 0
+            for b in attackers[x]:
+                inside &= absent[b] | labelled_out[b]
+                hit |= labelled_in[b]
+            outside = present[x] & hit
+            if inside != labelled_in[x] or outside != labelled_out[x]:
+                labelled_in[x], labelled_out[x] = inside, outside
+                changed = True
+    return tuple(labelled_in)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, least first, in time linear
+    in its length (``af._bits`` is quadratic on a 2^20-bit int)."""
+    digits = bin(mask)[:1:-1]
+    found, i = [], digits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = digits.find("1", i + 1)
+    return found
 
 
 def _member(name: str) -> str:
@@ -155,33 +208,28 @@ def _member(name: str) -> str:
     return "m." + name
 
 
-def encode_constellation(
-    af: ArgumentationFramework, semantics: Semantics, argument: str
-) -> ClauseSet:
-    """Theory of the induced subgraphs that credulously accept the argument.
+def encode_constellation(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
+    """Theory shared by every argument's constellation on the framework.
 
     The framework's ids are declared, then argument x's membership variable
-    follows as bit n + x. Under CF the argument's singleton is conflict-free
-    unless it attacks itself, so the theory is the argument itself, or
-    false. GR has no theory: the engine lists its accepting subgraphs. Under
-    AD, CO, PR and ST the models, projected onto the argument ids, name the
-    arguments present in one accepting subgraph: the membership variables
-    describe an extension of that subgraph holding the argument, which is
-    conflict-free and inside the subgraph; under AD (and CO and PR, whose
-    credulous acceptance is the same, Dung 1995) it attacks every present
-    attacker of a member, and under ST every present non-member.
+    follows as bit n + x. Argument x's constellation, the induced subgraphs
+    that credulously accept it, is this theory with bit n + x set true (the
+    engine passes it to ``circuit.Compiler`` as an assumption). Its models,
+    projected onto the argument ids, name the arguments present in one
+    accepting subgraph: the membership variables describe an extension of
+    that subgraph holding x, which is conflict-free and inside the subgraph;
+    under AD (and CO and PR, whose credulous acceptance is the same, Dung
+    1995) it attacks every present attacker of a member, and under ST every
+    present non-member. GR has no theory: the engine lists its accepting
+    subgraphs from ``_grounded_table``.
     """
     semantics = _semantics(semantics)
-    index = af._require(argument)
-    n, attackers = len(af.arguments), af._attacker_masks
-    if semantics is Semantics.CF:
-        clause = (0, 0) if attackers[index] >> index & 1 else (1 << index, 0)
-        return ClauseSet(af.arguments, n, (clause,))
     if semantics is Semantics.GR:
         raise InputError(
             "no constellation theory for GR; list its accepting subgraphs with encode_enumerative"
         )
-    clauses = [(1 << n + index, 0)]
+    n, attackers = len(af.arguments), af._attacker_masks
+    clauses = []
     for x, attacked_by in enumerate(attackers):
         m = 1 << n + x
         clauses.append((1 << x, m))  # a member is present
@@ -189,7 +237,7 @@ def encode_constellation(
         if semantics is Semantics.ST:
             # A present argument is a member or attacked by one.
             clauses.append((m | attacked_by << n, 1 << x))
-        else:
+        elif semantics is not Semantics.CF:
             # A present attacker b of a member is attacked by a member.
             clauses += ((attackers[b] << n, m | 1 << b) for b in _bits(attacked_by))
     names = (*af.arguments, *map(_member, af.arguments))

@@ -10,27 +10,30 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   for the total probability of the subgraphs that credulously accept the
   argument. CO and PR share AD's constellation, compiled like ST's from an
   existential theory with its membership variables projected away; GR's
-  lists the subgraphs its fixed point accepts. With no attack cycle every
-  subgraph has one complete extension, which is grounded, preferred and
-  stable (Dung 1995, Thm 30), so GR on an acyclic cone, and ST on an
-  acyclic framework, share AD's too. ``_compiled`` alone decides what a
-  constellation covers: the argument's relevance cone, or under ST the
-  whole framework. A cone's circuit mentions the cone's arguments alone:
-  each argument outside it is a factor p + (1 - p) = 1 of the mean, with
-  no gradient, and doubles the model count. CF's is answered in
-  closed form, with no circuit: the argument's own label, or 0 if it
-  attacks itself.
+  lists the subgraphs whose grounded labelling, computed for all of them
+  at once, accepts the argument. With no attack cycle every subgraph has
+  one complete extension, which is grounded, preferred and stable (Dung
+  1995, Thm 30), so GR on an acyclic cone, and ST on an acyclic framework,
+  share AD's too. ``_compiled`` alone decides what a constellation covers:
+  the argument's relevance cone, or under ST the whole framework. A cone's
+  circuit mentions the cone's arguments alone: each argument outside it is
+  a factor p + (1 - p) = 1 of the mean, with no gradient, and doubles the
+  model count. CF's is answered in closed form, with no circuit: the
+  argument's own label, or 0 if it attacks itself.
 
 Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
 compiled targets (a framework's theory, or one argument's constellation,
 which ``mc_oracle`` still compiles under CF too). PR's theory (the maximal
 models of the cached CO circuit) and GR's constellation on a cyclic cone
-are listed sets, built by ``encode_enumerative``; every other target is
-encoded as a clause set and compiled, so a target compiles to the same
-circuit whatever the process built before. A point probability is a beta
-label of zero variance, so both label kinds get their moments from the one
-path in ``propagate``; ``_query`` renders them into a ``QueryResult``.
+are listed sets, built by ``encode_enumerative``. A theory is encoded as a
+clause set and compiled. The constellations of one (framework, semantics)
+family share one encoded theory and one search (``_compiler``), each
+argument's membership bit an assumption. Circuits are numbered from their
+root, so a target compiles to the same circuit whatever the process built
+before. A point probability is a beta label of zero variance, so both
+label kinds get their moments from the one path in ``propagate``;
+``_query`` renders them into a ``QueryResult``.
 Every route has an independent oracle: enumeration over extensions or every
 subgraph (CF included) with the exact mixture variance, and a Monte-Carlo
 estimate.
@@ -47,9 +50,9 @@ from .af import (
 )
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import (
-    Circuit, _require_width, compile_formula, condition, encode_enumerative, model_count
+    Circuit, Compiler, _require_width, compile_formula, condition, encode_enumerative, model_count
 )
-from .encode import _accepted, encode, encode_constellation
+from .encode import _accepted, _grounded_table, _set_bits, encode, encode_constellation
 from .errors import CapacityError, InputError
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
@@ -149,14 +152,29 @@ def _compiled(
         complete = _compiled(af, Semantics.CO, None)[0]
         circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
     elif argument is not None and semantics is Semantics.GR:
-        bit = 1 << af._index[argument]
-        masks = [sub for sub, union in enumerate(_accepted(af, Semantics.GR)) if union & bit]
-        circuit = encode_enumerative(af.arguments, masks)
+        accepting = _grounded_table(af)[af._index[argument]]
+        circuit = encode_enumerative(af.arguments, _set_bits(accepting))
     elif argument is None:
         circuit = compile_formula(encode(af, semantics))
     else:
-        circuit = compile_formula(encode_constellation(af, semantics, argument))
+        circuit = _compiler(af, semantics).circuit(1 << len(af.arguments) + af._index[argument])
     return circuit, model_count(circuit)
+
+
+@lru_cache(maxsize=16)
+def _compiler(af: ArgumentationFramework, semantics: Semantics) -> Compiler:
+    """The search shared by every argument's constellation on the framework
+    (a cone subgraph, or ST's whole framework): each asks it for the shared
+    theory with its own membership bit assumed true.
+
+    At most 16 compilers are kept. Each holds the nodes and cached
+    components of every circuit compiled from it, at most one per argument
+    of its framework, so its worst case is the sum of those compiles'
+    searches; ``_compiled`` keeps the circuits themselves. A cold seed-1
+    prob-c benchmark pass builds 46 compilers, the same number as with no
+    bound, and the 16 it keeps hold about 0.2 MB.
+    """
+    return Compiler(encode_constellation(af, semantics))
 
 
 def _target(

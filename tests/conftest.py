@@ -57,9 +57,11 @@ def chain_af() -> ArgumentationFramework:
 
 
 @st.composite
-def frameworks(draw, min_args: int = 1, max_args: int = 6) -> ArgumentationFramework:
+def frameworks(
+    draw, min_args: int = 1, max_args: int = 6, names: str = _NAMES
+) -> ArgumentationFramework:
     n = draw(st.integers(min_args, max_args))
-    names = list(_NAMES[:n])
+    names = list(names[:n])
     pairs = [(s, t) for s in names for t in names]
     attacks = draw(st.sets(st.sampled_from(pairs)))
     return ArgumentationFramework(names, attacks)
@@ -80,6 +82,16 @@ def clause_set(kept, hidden, clauses) -> ClauseSet:
                 neg |= bit[name]
         masks.append((pos, neg))
     return ClauseSet(names, len(kept), masks)
+
+
+def constellation(af: ArgumentationFramework, semantics, argument: str) -> ClauseSet:
+    """One argument's constellation theory: its family's shared theory with
+    the argument's membership variable as a unit clause, first."""
+    from pargue import encode_constellation
+
+    theory = encode_constellation(af, semantics)
+    unit = (1 << len(af.arguments) + af._require(argument), 0)
+    return ClauseSet(theory.names, theory.declared, (unit, *theory.clauses))
 
 
 def literal_clauses(names):

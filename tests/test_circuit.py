@@ -29,6 +29,7 @@ from pargue import (
     compile_formula,
     condition,
     encode,
+    encode_constellation,
     encode_enumerative,
     evaluate,
     format_nnf,
@@ -36,10 +37,12 @@ from pargue import (
     validate,
 )
 from pargue.af import _attacked_by, _characteristic_mask
-from pargue.circuit import _Builder
+from pargue.circuit import Compiler, _Builder
 from pargue.semiring import model_masks
 
-from conftest import clause_set, clause_sets, frameworks, literal_clauses, models, passed
+from conftest import (
+    clause_set, clause_sets, constellation, frameworks, literal_clauses, models, passed
+)
 
 NAMES = ("a", "b", "c", "d")
 # Three disjoint blocks of names, each drawn from like ``clause_sets()``'s.
@@ -376,6 +379,45 @@ class TestCompile:
         ]
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"nnf ") == 2
+
+
+class TestCompiler:
+    """One search serves a constellation family: each argument's circuit is
+    the shared theory with its membership bit assumed."""
+
+    @given(frameworks(max_args=6))
+    def test_family_circuits_do_not_depend_on_the_order(self, af):
+        # Byte-identical whichever argument is compiled first, and equal to a
+        # fresh compile of the theory with the argument's unit clause.
+        n = len(af.arguments)
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.ST):
+            family = encode_constellation(af, semantics)
+            forward, backward = Compiler(family), Compiler(family)
+            ahead = {x: format_nnf(forward.circuit(1 << n + x)) for x in range(n)}
+            behind = {x: format_nnf(backward.circuit(1 << n + x)) for x in reversed(range(n))}
+            assert ahead == behind
+            for x, name in enumerate(af.arguments):
+                fresh = compile_formula(constellation(af, semantics, name))
+                assert ahead[x] == format_nnf(fresh), (semantics, name)
+
+    @given(clause_sets(kept=("a", "b", "c"), hidden=("h",)), st.integers(0, 15))
+    def test_assumptions_are_unit_clauses(self, theory, assume):
+        # Assumed bits, kept or eliminated, act as unit clauses on the same
+        # compiler, whatever it compiled before.
+        compiler = Compiler(theory)
+        for earlier in range(16):
+            compiler.circuit(earlier)
+        units = [(1 << v, 0) for v in range(4) if assume >> v & 1]
+        with_units = ClauseSet(theory.names, theory.declared, (*units, *theory.clauses))
+        got = compiler.circuit(assume)
+        assert passed(validate(got))
+        assert format_nnf(got) == format_nnf(compile_formula(with_units))
+
+    def test_assumptions_must_fit_the_names(self):
+        compiler = Compiler(ClauseSet(("a", "b"), 1, ()))
+        for bad in (-1, 4, "1", None):
+            with pytest.raises(InputError, match="assumptions"):
+                compiler.circuit(bad)
 
 
 class TestSmoothing:

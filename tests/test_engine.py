@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import pargue
 from conftest import (
-    backward_gradients, frameworks, lifted_models, passed, random_beta_labels
+    backward_gradients, constellation, frameworks, lifted_models, passed, random_beta_labels
 )
 from pargue import (
     ArgumentationFramework,
@@ -34,10 +34,10 @@ from pargue import (
     prob_c,
     propagate,
 )
-from pargue import encode, encode_constellation, engine, extensions, subgraph
+from pargue import encode, engine, extensions, subgraph
 from pargue.af import _acyclic, _cone_mask
-from pargue.circuit import validate
-from pargue.encode import _accepted
+from pargue.circuit import Compiler, validate
+from pargue.encode import _accepted, _grounded_table
 from pargue.engine import _compiled
 from pargue.semiring import PROBABILITY, Labelling, evaluate
 
@@ -50,6 +50,25 @@ MA, MB, MC, MD = 0.5, 17.0 / 19.0, 4.0 / 19.0, 10.0 / 13.0
 @pytest.fixture
 def example_graph(example_af, example_labels):
     return ProbabilisticGraph(example_af, example_labels)
+
+
+def count_calls(monkeypatch, calls, owners):
+    """Patch each (owner, name) of ``owners`` to append its name to
+    ``calls`` before running. A constellation is built by a ``Compiler``'s
+    ``circuit``, a theory by ``engine.compile_formula``."""
+    for owner, name in owners:
+        real = getattr(owner, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+def clear_caches():
+    engine._compiled.cache_clear()
+    engine._compiler.cache_clear()
 
 
 class TestProbabilisticGraph:
@@ -229,13 +248,10 @@ class TestOneAnswerPath:
     def test_prob_c_shares_the_admissible_circuit(self, monkeypatch):
         # Credulous acceptance is the same under AD, CO and PR.
         compiles = []
-        real = engine.compile_formula
-
-        def counting(*args, **kwargs):
-            compiles.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "compile_formula", counting)
+        count_calls(
+            monkeypatch, compiles,
+            ((engine, "compile_formula"), (engine, "encode_constellation"), (Compiler, "circuit")),
+        )
         rng = random.Random(77)
         for af in _conditioning_frameworks(rng)[:6]:
             labels = {
@@ -244,10 +260,10 @@ class TestOneAnswerPath:
             }
             graph = ProbabilisticGraph(af, labels)
             name = af.arguments[-1]
-            engine._compiled.cache_clear()
+            clear_caches()
             compiles.clear()
             answers = {s: prob_c(graph, s, name) for s in (Semantics.AD, Semantics.CO, Semantics.PR)}
-            assert len(compiles) == 1
+            assert compiles == ["encode_constellation", "circuit"]
             ad = answers[Semantics.AD]
             for semantics, result in answers.items():
                 assert result.semantics is semantics
@@ -265,27 +281,28 @@ class TestCompiledCache:
     """One bounded cache holds each compiled target with its model count."""
 
     def test_warm_queries_neither_compile_nor_count(self, monkeypatch, example_graph):
-        calls = {"compile_formula": 0, "encode_enumerative": 0, "model_count": 0}
-        for name in calls:
-            real = getattr(engine, name)
-
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(engine, name, counting)
-        engine._compiled.cache_clear()
+        calls = []
+        builders = ("compile_formula", "encode_constellation", "encode_enumerative", "model_count")
+        count_calls(
+            monkeypatch, calls, [(engine, name) for name in builders] + [(Compiler, "circuit")]
+        )
+        clear_caches()
         for query in (prob, prob_c):
             for semantics in Semantics:
                 cold = query(example_graph, semantics, "d")
-                before = dict(calls)
+                before = list(calls)
                 warm = query(example_graph, semantics, "d")
                 assert calls == before, (query.__name__, semantics)
                 assert warm == cold
-        # Six theories, plus one constellation: CO and PR share AD's, the
-        # framework is acyclic, so GR and ST do too, and CF's has a closed
-        # form. PR's theory is a listed model set.
-        assert calls == {"compile_formula": 6, "encode_enumerative": 1, "model_count": 7}
+        # Six theories, five compiled and PR's a listed model set, plus one
+        # constellation: CO and PR share AD's, the framework is acyclic, so
+        # GR and ST do too, and CF's has a closed form. A compiler's circuit
+        # builds each of the six compiled circuits.
+        counts = {name: calls.count(name) for name in (*builders, "circuit")}
+        assert counts == {
+            "compile_formula": 5, "encode_constellation": 1, "encode_enumerative": 1,
+            "model_count": 7, "circuit": 6,
+        }
 
     def test_preferred_reuses_the_complete_circuit(self, monkeypatch, example_graph):
         calls = []
@@ -307,20 +324,17 @@ class TestCompiledCache:
 
     def test_mc_oracle_shares_the_admissible_constellation(self, monkeypatch, example_graph):
         compiles = []
-        real = engine.compile_formula
-
-        def counting(*args, **kwargs):
-            compiles.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "compile_formula", counting)
-        engine._compiled.cache_clear()
+        count_calls(
+            monkeypatch, compiles,
+            ((engine, "compile_formula"), (engine, "encode_constellation"), (Compiler, "circuit")),
+        )
+        clear_caches()
         prob_c(example_graph, Semantics.AD, "d")
         estimates = {
             s: mc_oracle(example_graph, s, "d", "prob-c", samples=200, seed=3)
             for s in (Semantics.AD, Semantics.CO, Semantics.PR)
         }
-        assert len(compiles) == 1
+        assert compiles == ["encode_constellation", "circuit"]
         assert estimates[Semantics.CO] == estimates[Semantics.PR] == estimates[Semantics.AD]
 
     def test_cache_stays_bounded(self):
@@ -384,7 +398,7 @@ class TestConstellationScan:
     """One bounded acceptance table per framework for GR; none for the rest."""
 
     def test_table_cache_stays_bounded(self):
-        scan = importlib.import_module("pargue.encode")._accepted
+        scan = importlib.import_module("pargue.encode")._grounded_table
         scan.cache_clear()
         pairs = 0
         for i in range(70):
@@ -413,17 +427,49 @@ class TestConstellationScan:
 
         monkeypatch.setattr(encode_module, "_extension_masks", counting)
         encode_module._accepted.cache_clear()
-        engine._compiled.cache_clear()
+        encode_module._grounded_table.cache_clear()
+        clear_caches()
         loop = ArgumentationFramework("ab", [("a", "a"), ("a", "b")])
         for af in (example_af, loop):
             for name in af.arguments:
-                encode_module.encode_constellation(af, Semantics.CF, name)
+                constellation(af, Semantics.CF, name)
                 # AD, CO, PR and ST compile a projected theory instead.
                 for semantics in (Semantics.AD, Semantics.CO, Semantics.PR, Semantics.ST):
                     _compiled(af, semantics, name)
+        assert encode_module._grounded_table.cache_info().misses == 0
+        # A cyclic cone: GR labels every subgraph at once, in the bit-parallel
+        # table, and still runs no per-subgraph fixed point.
+        _compiled(loop, Semantics.GR, "b")
+        assert encode_module._grounded_table.cache_info().misses == 1
         assert calls == []
-        _compiled(loop, Semantics.GR, "b")  # a cyclic cone: GR scans its subgraphs
-        assert calls
+
+    @given(frameworks(max_args=10, names="abcdefghij"))
+    def test_grounded_table_is_the_fixed_point_scan(self, af):
+        # Bit S of argument x's entry is whether x is in the grounded
+        # extension of subgraph S, as each subgraph's own fixed point says.
+        scan = _accepted(af, Semantics.GR)
+        want = tuple(
+            sum(1 << sub for sub, accepted in enumerate(scan) if accepted >> x & 1)
+            for x in range(len(af.arguments))
+        )
+        assert _grounded_table(af) == want
+
+    def test_grounded_prob_c_runs_no_fixed_point_scan(self, monkeypatch):
+        # The per-subgraph scan serves the brute-force oracle alone.
+        def refuse(*args):
+            raise AssertionError("_accepted called")
+
+        encode_module = importlib.import_module("pargue.encode")
+        monkeypatch.setattr(engine, "_accepted", refuse)
+        monkeypatch.setattr(encode_module, "_accepted", refuse)
+        clear_caches()
+        # a and b attack each other, b attacks c, c attacks itself: every
+        # cone is cyclic.
+        af = ArgumentationFramework("abc", [("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")])
+        graph = ProbabilisticGraph(af, {"a": 0.5, "b": 0.25, "c": 0.75})
+        assert [prob_c(graph, Semantics.GR, name).mean for name in "abc"] == [0.5 * 0.75, 0.25 * 0.5, 0.0]
+        with pytest.raises(AssertionError, match="_accepted called"):
+            brute_force_prob_c(graph, Semantics.GR, "a")
 
     def test_cf_closed_form_past_the_scan_limit(self):
         names = [f"n{i:02d}" for i in range(21)]
@@ -565,15 +611,11 @@ class TestRelevanceCone:
 
     def test_cf_prob_c_builds_no_circuit(self, monkeypatch, example_af, example_labels):
         calls = []
-        for name in ("encode_constellation", "compile_formula"):
-            real = getattr(engine, name)
-
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(engine, name, counting)
-        engine._compiled.cache_clear()
+        count_calls(
+            monkeypatch, calls,
+            ((engine, "encode_constellation"), (engine, "compile_formula"), (Compiler, "circuit")),
+        )
+        clear_caches()
         graph = ProbabilisticGraph(example_af, example_labels)
         for name, label in example_labels.items():
             result = prob_c(graph, Semantics.CF, name)
@@ -593,7 +635,7 @@ class TestRelevanceCone:
             prob_c(points, Semantics.CF, "a", covariance=spec)
         # mc_oracle stays an independent route: it compiles CF's constellation.
         mc_oracle(graph, Semantics.CF, "a", "prob-c", samples=10, seed=0)
-        assert calls == ["encode_constellation", "compile_formula"]
+        assert calls == ["encode_constellation", "circuit"]
 
 
 @st.composite
@@ -918,7 +960,7 @@ class TestGuards:
         for call in (
             lambda s: extensions(example_af, s),
             lambda s: encode(example_af, s),
-            lambda s: encode_constellation(example_af, s, "a"),
+            lambda s: constellation(example_af, s, "a"),
             lambda s: prob(example_graph, s, "a"),
             lambda s: prob_c(example_graph, s, "a"),
             lambda s: brute_force_prob(points, s, "a"),

@@ -19,7 +19,6 @@ from pargue import (
     Semantics,
     compile_formula,
     encode,
-    encode_constellation,
     encode_enumerative,
     extensions,
     prob_c,
@@ -30,7 +29,7 @@ from pargue.engine import _compiled
 from pargue.semiring import model_masks
 
 from conftest import (
-    clause_set, frameworks, lifted_models, literal_clauses, models, random_framework, satisfies
+    clause_set, constellation, frameworks, lifted_models, literal_clauses, models, random_framework, satisfies
 )
 
 DIRECT = [Semantics.CF, Semantics.AD, Semantics.CO, Semantics.ST]
@@ -148,7 +147,7 @@ class TestDirectEncodings:
             assert all(name.startswith("t.") for name in hidden)
         for name in af.arguments:
             for semantics in (Semantics.AD, Semantics.ST):
-                theory = encode_constellation(af, semantics, name)
+                theory = constellation(af, semantics, name)
                 assert theory.names[: theory.declared] == af.arguments
                 members = theory.names[theory.declared :]
                 assert list(members) == sorted(members)
@@ -260,10 +259,10 @@ class TestConstellationEncoding:
         c = _compiled(chain_af, Semantics.GR, "c")[0]
         assert circuit_model_set(c) == {("c",), ("a", "c"), ("a", "b", "c")}
         with pytest.raises(InputError, match="encode_enumerative"):
-            encode_constellation(chain_af, Semantics.GR, "c")
+            constellation(chain_af, Semantics.GR, "c")
 
     def test_unattacked_argument_all_subgraphs_containing_it(self, example_af):
-        f = encode_constellation(example_af, Semantics.AD, "a")
+        f = constellation(example_af, Semantics.AD, "a")
         got = model_set(f)
         assert len(got) == 8
         assert all("a" in m for m in got)
@@ -271,22 +270,24 @@ class TestConstellationEncoding:
     def test_self_attacker_never_accepted(self):
         af = ArgumentationFramework(["a"], [("a", "a")])
         for semantics in (Semantics.CF, Semantics.AD, Semantics.ST):
-            assert models(encode_constellation(af, semantics, "a")) == set()
+            assert models(constellation(af, semantics, "a")) == set()
 
     @settings(max_examples=30)
     @given(frameworks(max_args=5))
     def test_projected_models_are_the_scan(self, af):
         # The clause models, projected onto the ids by the truth table, are
         # the subgraphs in which the scan finds the argument accepted.
-        for semantics in (Semantics.AD, Semantics.ST):
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.ST):
             table = _accepted(af, semantics)
             for i, name in enumerate(af.arguments):
                 want = {af._members(sub) for sub, union in enumerate(table) if union >> i & 1}
-                assert models(encode_constellation(af, semantics, name)) == want, (semantics, name)
+                assert models(constellation(af, semantics, name)) == want, (semantics, name)
 
     def test_unknown_argument(self, example_af):
+        # The shared theory names no argument; the query's is checked where
+        # its constellation is compiled.
         with pytest.raises(InputError):
-            encode_constellation(example_af, Semantics.AD, "z")
+            _compiled(example_af, Semantics.AD, "z")
 
     def test_capacity(self):
         # GR scans every subgraph's fixed point of the argument's cone, up to
