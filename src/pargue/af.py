@@ -117,6 +117,11 @@ class ArgumentationFramework:
             masks[self._index[source]] |= 1 << self._index[target]
         return tuple(masks)
 
+    @cached_property
+    def _is_acyclic(self) -> bool:
+        """``_acyclic`` of the whole framework, computed once."""
+        return _acyclic(self, self._full_mask)
+
     @property
     def _full_mask(self) -> int:
         return (1 << len(self.arguments)) - 1

@@ -37,8 +37,11 @@ decision diagram (Bryant, IEEE ToC 1986) straight into circuit nodes.
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
 ``Circuit``, ``ClauseSet`` and ``ValidationReport`` are named tuples, whose
-constructors check their fields; ``Node`` is a slotted class, since every
-pass over a circuit reads its fields.
+constructors check their fields; ``Node`` is a slotted class. A circuit's
+nodes are held in a ``_Nodes`` tuple, however the circuit is built, which
+computes the circuit's ``_Index`` on its first evaluation and keeps it: the
+literal and gate positions that the forward and backward passes read
+instead of each node's kind. The index lives and dies with its circuit.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import itertools
 import operator
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
 
 from .af import _bits
 from .errors import CapacityError, InputError
@@ -63,8 +67,9 @@ class Node:
     are used by literal nodes, ``decision`` records the branch variable of
     disjunctions introduced by Shannon expansion. Nodes compare and hash by
     their five fields, and are not changed once built. On CPython 3.11 a
-    slot read costs about a third of a named tuple's field read, and every
-    evaluation pass reads ``kind`` and ``children`` of each node.
+    slot read costs about a third of a named tuple's field read; the
+    compiler, ``condition`` and ``validate`` read the fields, while the
+    evaluators read the circuit's index instead.
     """
 
     __slots__ = ("kind", "var", "positive", "children", "decision")
@@ -99,11 +104,67 @@ class Node:
         return f"Node({fields})"
 
 
-class Circuit(namedtuple("Circuit", "nodes root variables")):
-    """A tuple of ``Node`` where children precede parents, the index of the
-    root, and the declared variable names."""
+class _Index(namedtuple("_Index", "literals pairs trues gates")):
+    """The nodes of a circuit as the evaluators read them, by position.
+
+    ``literals`` holds an ``(index, variable, polarity)`` triple per
+    literal, at its first node. ``pairs`` maps each variable to the first
+    nodes of its positive and negative literal, the node count standing
+    for a missing one. ``trues`` lists the true nodes. ``gates`` holds an
+    ``(index, is_and, children)`` triple per conjunction and disjunction,
+    children first. A further node of a literal, which no compiled circuit
+    has, is a gate too: the disjunction of the literal's first node alone.
+    """
 
     __slots__ = ()
+
+
+class _Nodes(tuple):
+    """A circuit's node tuple, which builds its ``_Index`` on first use and
+    keeps it for as long as the tuple lives."""
+
+    @cached_property
+    def _index(self) -> _Index:
+        literals, trues, gates = [], [], []
+        missing = len(self)
+        pairs: dict[str, tuple[int, int]] = {}
+        for i, node in enumerate(self):
+            kind = node.kind
+            if kind == "lit":
+                var, positive = node.var, node.positive
+                pos, neg = pairs.get(var, (missing, missing))
+                first = pos if positive else neg
+                if first == missing:
+                    literals.append((i, var, positive))
+                    pairs[var] = (i, neg) if positive else (pos, i)
+                else:
+                    gates.append((i, False, (first,)))
+            elif kind == "and" or kind == "or":
+                gates.append((i, kind == "and", node.children))
+            elif kind == "true":
+                trues.append(i)
+        return _Index(tuple(literals), pairs, tuple(trues), tuple(gates))
+
+
+class Circuit(namedtuple("Circuit", "nodes root variables")):
+    """A tuple of ``Node`` where children precede parents, the index of the
+    root, and the declared variable names.
+
+    However it is built, ``nodes`` is held as a ``_Nodes`` tuple, so each
+    circuit's index is built once, on its first evaluation.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: Iterable[Node], root: int, variables: tuple[str, ...]) -> "Circuit":
+        if type(nodes) is not _Nodes:
+            nodes = _Nodes(nodes)
+        return super().__new__(cls, nodes, root, variables)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Circuit":
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def edge_count(self) -> int:
@@ -501,7 +562,7 @@ def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
         else:
             stack.pop()
             position[index] = len(position)
-    return tuple(
+    return _Nodes(
         Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
         if n.children
         else n
@@ -511,11 +572,11 @@ def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
 
 def _varsets(circuit: Circuit, ids: Iterable[int]) -> list[frozenset[str]]:
     """Variables each node of ``ids`` mentions, as one walk in a set-union semiring."""
-    from .semiring import Semiring, _walk
+    from .semiring import Labelling, Semiring, _walk
 
     union = Semiring("variable sets", frozenset.union, frozenset.union, frozenset(), frozenset())
     table = {(n.var, n.positive): frozenset((n.var,)) for n in circuit.nodes if n.kind == "lit"}
-    return _walk(circuit, union, table, ids)
+    return _walk(circuit, union, Labelling(table), ids)
 
 
 def _variable_pattern(position: int, width: int) -> int:
@@ -532,7 +593,7 @@ def _variable_pattern(position: int, width: int) -> int:
 
 def _truth_masks(circuit: Circuit, order: dict[str, int], ids: Iterable[int]) -> list[int | None]:
     """Truth table of each node: one bit per assignment of the ordered variables."""
-    from .semiring import Semiring, _walk
+    from .semiring import Labelling, Semiring, _walk
 
     width = len(order)
     full = (1 << (1 << width)) - 1
@@ -542,7 +603,7 @@ def _truth_masks(circuit: Circuit, order: dict[str, int], ids: Iterable[int]) ->
         table[var, True] = pattern
         table[var, False] = full ^ pattern
     truth = Semiring("truth table", operator.or_, operator.and_, 0, full)
-    return _walk(circuit, truth, table, ids)
+    return _walk(circuit, truth, Labelling(table), ids)
 
 
 def _closure(nodes: Sequence[Node], start: int) -> list[int]:

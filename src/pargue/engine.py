@@ -4,8 +4,8 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
 
 * ``prob``: arguments are kept or dropped independently and the query asks
   for the probability that the argument sits in some extension of the full
-  framework's theory, conditioned by labelling the negated query literal
-  zero on the shared, unconditioned theory circuit.
+  framework's theory, conditioned by valuing the negated query literal
+  zero within the pass over the shared, unconditioned theory circuit.
 * ``prob_c``: each subset of arguments induces a subgraph; the query asks
   for the total probability of the subgraphs that credulously accept the
   argument. CO and PR share AD's constellation, compiled like ST's from an
@@ -138,8 +138,11 @@ def _compiled(
     if argument is not None:
         scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
         # With no attack cycle the constellation is AD's (Dung 1995, Thm 30):
-        # GR's needs its cone acyclic, ST's the whole framework.
-        if semantics in (Semantics.GR, Semantics.ST) and _acyclic(af, scope):
+        # GR's needs its cone acyclic, ST's the whole framework, checked
+        # once per framework.
+        if semantics is Semantics.ST and af._is_acyclic or (
+            semantics is Semantics.GR and _acyclic(af, scope)
+        ):
             return _compiled(af, Semantics.AD, argument)
         if scope != af._full_mask:
             cone = subgraph(af, af._members(scope))

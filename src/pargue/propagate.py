@@ -6,20 +6,23 @@ means gives the exact query mean. The delta method approximates the query
 variance as g' Sigma g, where g is the gradient at the means and Sigma
 holds the label variances plus any declared covariances. The forward sweep
 is the semiring module's one node walker in the probability semiring,
-labelled with the means; the backward sweep here turns its node values
-into partial derivatives. Both literals of an argument are functions of
-the same underlying probability, so a negative literal contributes its
-partial derivative with opposite sign.
+labelled with the means; the backward sweep here reads the same circuit
+index, gates in reverse, and turns the node values into the partial
+derivative of every node (Darwiche, JACM 2003). Both literals of an
+argument are functions of the same underlying probability, so an
+argument's gradient is its positive literal's partial less its negative
+literal's.
 
 A query conditions the circuit through its labels: each literal that
 contradicts a forced query literal takes the value 0. That literal is a
-constant of the conditioned function, so it adds no partial derivative.
+constant of the conditioned function, so its partial is 0.
 
 ``_answer`` serves point and beta labels alike, a point probability being
 a label of variance zero, and returns the mean and variance only: the
 engine's queries and ``propagate`` each render their own result. With no
 nonzero variance or covariance it skips the backward sweep, whose every
-term would be multiplied by zero.
+term would be multiplied by zero, and otherwise adds a variance term for
+each nonzero variance alone.
 """
 
 from __future__ import annotations
@@ -140,36 +143,55 @@ def _means(circuit: Circuit, labels: Mapping[str, BetaLabel]) -> Labelling:
     return Labelling.from_point_probabilities({v: labels[v].mean for v in circuit.variables})
 
 
-def _backward(
-    circuit: Circuit, values: list[float], forced: Mapping[str, bool]
-) -> dict[str, float]:
-    partials = [0.0] * len(circuit.nodes)
+def _backward(circuit: Circuit, values: list[float], forced: Mapping[str, bool]) -> list[float]:
+    """The root's partial derivative by each node's value, from the
+    forward values of ``_walk``. One more slot at the end stays 0.0: it is
+    where ``_Index.pairs`` points for a missing literal.
+
+    The gates are read in reverse, parents first. A literal that contradicts
+    ``forced`` is a constant, so its partial is 0.0.
+    """
+    index = circuit.nodes._index
+    partials = [0.0] * (len(circuit.nodes) + 1)
     partials[circuit.root] = 1.0
-    for i in range(len(circuit.nodes) - 1, -1, -1):
+    for i, is_and, children in reversed(index.gates):
         p = partials[i]
         if p == 0.0:
             continue
-        node = circuit.nodes[i]
-        if node.kind == "or":
-            for c in node.children:
+        if not is_and:
+            for c in children:
                 partials[c] += p
-        elif node.kind == "and":
-            k = len(node.children)
-            prefix = [1.0] * (k + 1)
-            for t, c in enumerate(node.children):
-                prefix[t + 1] = prefix[t] * values[c]
+        elif len(children) == 2:
+            a, b = children
+            partials[b] += p * values[a]
+            partials[a] += p * values[b]
+        else:
+            prefix = [1.0]
+            product = 1.0
+            for c in children:
+                product *= values[c]
+                prefix.append(product)
             suffix = 1.0
-            for t in range(k - 1, -1, -1):
-                partials[node.children[t]] += p * prefix[t] * suffix
-                suffix *= values[node.children[t]]
-    grads = dict.fromkeys(circuit.variables, 0.0)
-    for i, node in enumerate(circuit.nodes):
-        if (
-            node.kind == "lit"
-            and partials[i] != 0.0
-            and forced.get(node.var, node.positive) == node.positive
-        ):
-            grads[node.var] += partials[i] if node.positive else -partials[i]
+            for t in range(len(children) - 1, -1, -1):
+                c = children[t]
+                partials[c] += p * prefix[t] * suffix
+                suffix *= values[c]
+    pairs = index.pairs
+    for var, value in forced.items():
+        if var in pairs:
+            partials[pairs[var][1] if value else pairs[var][0]] = 0.0
+    return partials
+
+
+def _gradients(circuit: Circuit, partials: list[float]) -> dict[str, float]:
+    """Each variable's gradient from ``_backward``'s partials: its positive
+    literal's partial less its negative literal's, 0.0 where it has none."""
+    pairs = circuit.nodes._index.pairs
+    missing = (len(circuit.nodes), len(circuit.nodes))
+    grads = {}
+    for var in circuit.variables:
+        pos, neg = pairs.get(var, missing)
+        grads[var] = partials[pos] - partials[neg]
     return grads
 
 
@@ -185,12 +207,15 @@ def _answer(
     ``means`` labels each literal at the label means; ``variances`` maps
     every argument to its label variance.
     """
-    values = _walk(circuit, PROBABILITY, means.conditioned(forced, PROBABILITY.zero)._values)
+    values = _walk(circuit, PROBABILITY, means, forced=forced)
     mean = min(max(values[circuit.root], 0.0), 1.0)
     variance = 0.0
-    if covariance is not None or any(variances[v] for v in circuit.variables):
-        grads = _backward(circuit, values, forced)
-        variance = sum(grads[v] * grads[v] * variances[v] for v in circuit.variables)
+    if covariance is not None or any(map(variances.__getitem__, circuit.variables)):
+        grads = _gradients(circuit, _backward(circuit, values, forced))
+        for var, g in grads.items():
+            sigma = variances[var]
+            if sigma:
+                variance += g * g * sigma
         if covariance is not None:
             variance = _with_covariance(variance, grads, variances, covariance)
         variance = max(variance, 0.0)

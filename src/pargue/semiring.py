@@ -4,13 +4,18 @@ On a smooth deterministic decomposable circuit, a single pass that maps
 literals through a labelling function, disjunctions through the semiring
 addition and conjunctions through its multiplication computes the algebraic
 model count. The probability and counting instances are provided. A query
-conditions the same compiled circuit through the labelling: each literal
-that contradicts the query is labelled with the semiring zero, so no node is
+conditions the same compiled circuit through the labels: each literal that
+contradicts the query is valued with the semiring zero, so no node is
 rebuilt. On a deterministic decomposable circuit the value equals that of
 ``condition(circuit, query)``, since dropping a zero disjunct and collapsing
 a conjunction with a zero factor are semiring identities.
 
-``_walk`` is the package's one forward pass over circuit nodes. Besides
+``_walk`` is the package's one forward pass over circuit nodes. It reads the
+circuit's index (``circuit._Index``), built once per circuit: it seeds the
+literal positions from the labelling, which holds one map from variable
+names per polarity, values the query's contradicting literals zero, and then
+values the gates, children first. Where the semiring's operations are
+``operator.add`` and ``operator.mul`` it applies them inline. Besides
 ``evaluate`` it serves the moment propagation (probability semiring at the
 label means), the Monte-Carlo oracle (probability semiring over numpy draw
 arrays), the determinism validator (truth tables as bitsets under or/and)
@@ -72,14 +77,18 @@ def _missing_label(var: str, positive: bool) -> InputError:
 
 
 class Labelling:
-    """Total map from literals to semiring values."""
+    """Total map from literals to semiring values, held as one map from
+    variable names per polarity, which ``_walk`` reads directly."""
 
     def __init__(self, values: Mapping[tuple[str, bool], object]):
-        self._values = dict(values)
+        self._positive: dict[str, object] = {}
+        self._negative: dict[str, object] = {}
+        for (var, positive), value in values.items():
+            (self._positive if positive else self._negative)[var] = value
 
     def __call__(self, var: str, positive: bool) -> object:
         try:
-            return self._values[(var, positive)]
+            return (self._positive if positive else self._negative)[var]
         except KeyError:
             raise _missing_label(var, positive) from None
 
@@ -102,51 +111,86 @@ class Labelling:
 
     def conditioned(self, forced: Mapping[str, bool], zero: object) -> "Labelling":
         """Copy with every literal that contradicts ``forced`` labelled ``zero``."""
-        copy = Labelling(self._values)
+        copy = Labelling({})
+        copy._positive, copy._negative = dict(self._positive), dict(self._negative)
         for var, value in forced.items():
-            copy._values[(var, not value)] = zero
+            (copy._negative if value else copy._positive)[var] = zero
         return copy
 
 
 def _walk(
     circuit: Circuit,
     semiring: Semiring,
-    table: Mapping[tuple[str, bool], object],
+    labelling: Labelling,
     ids: Iterable[int] | None = None,
+    forced: Mapping[str, bool] | None = None,
 ) -> list[object]:
-    """Value of every node, read bottom-up; children precede parents.
+    """Value of every node, read bottom-up from the circuit's index.
 
-    ``table`` maps literals to values. With ``ids``, a child-closed set of
+    Each literal takes its value from ``labelling``, or zero where it
+    contradicts ``forced``. With ``ids``, a child-closed set of
     node indices, only those nodes are valued and the rest stay ``None``.
+    Each sum and product runs over a node's children in their stored order,
+    starting from zero or one.
     """
-    nodes = circuit.nodes
-    plus, times, zero, one = semiring.plus, semiring.times, semiring.zero, semiring.one
-    values: list[object] = [None] * len(nodes)
-    for i in range(len(nodes)) if ids is None else sorted(ids):
-        node = nodes[i]
-        kind = node.kind
-        if kind == "lit":
-            try:
-                value = table[node.var, node.positive]
-            except KeyError:
-                raise _missing_label(node.var, node.positive) from None
-        elif kind == "and":
-            value = one
-            for c in node.children:
-                value = times(value, values[c])
-        elif kind == "or":
-            value = zero
-            for c in node.children:
-                value = plus(value, values[c])
-        else:
-            value = one if kind == "true" else zero
-        values[i] = value
+    index = circuit.nodes._index
+    zero, one = semiring.zero, semiring.one
+    literals, trues, gates = index.literals, index.trues, index.gates
+    values: list[object] = [zero] * len(circuit.nodes)
+    if ids is not None:
+        keep = set(ids)
+        # A further node of a literal reads the literal's first node.
+        keep.update(c for i, _, children in gates if i in keep for c in children)
+        values = [zero if i in keep else None for i in range(len(values))]
+        literals = [entry for entry in literals if entry[0] in keep]
+        trues = [i for i in trues if i in keep]
+        gates = [entry for entry in gates if entry[0] in keep]
+    for i in trues:
+        values[i] = one
+    on, off = labelling._positive, labelling._negative
+    for i, var, positive in literals:
+        try:
+            values[i] = on[var] if positive else off[var]
+        except KeyError:
+            raise _missing_label(var, positive) from None
+    if forced:
+        pairs = index.pairs
+        for var, value in forced.items():
+            if var in pairs:
+                i = pairs[var][1] if value else pairs[var][0]
+                if i < len(values) and values[i] is not None:
+                    values[i] = zero
+    if semiring.plus is operator.add and semiring.times is operator.mul:
+        # Numbers, or numpy arrays: the operators inline, never in place,
+        # so no step changes a child's value or the semiring's zero or one.
+        for i, is_and, children in gates:
+            if is_and:
+                value = one
+                for c in children:
+                    value = value * values[c]
+            else:
+                value = zero
+                for c in children:
+                    value = value + values[c]
+            values[i] = value
+    else:
+        plus, times = semiring.plus, semiring.times
+        for i, is_and, children in gates:
+            if is_and:
+                value = one
+                for c in children:
+                    value = times(value, values[c])
+            else:
+                value = zero
+                for c in children:
+                    value = plus(value, values[c])
+            values[i] = value
     return values
 
 
 def evaluate(circuit: Circuit, semiring: Semiring, labelling: Labelling) -> object:
     """Algebraic model count: the root's value after one bottom-up pass."""
-    return _walk(circuit, semiring, labelling._values)[circuit.root]
+    return _walk(circuit, semiring, labelling)[circuit.root]
 
 
 def model_masks(circuit: Circuit, semiring: Semiring = MODELS) -> tuple[int, ...]:
@@ -161,5 +205,5 @@ def model_masks(circuit: Circuit, semiring: Semiring = MODELS) -> tuple[int, ...
     for i, name in enumerate(circuit.variables):
         table[name, True] = (1 << i,)
         table[name, False] = (0,)
-    return _walk(circuit, semiring, table)[circuit.root]
+    return _walk(circuit, semiring, Labelling(table))[circuit.root]
 

@@ -181,8 +181,8 @@ def random_beta_labels(
 def backward_gradients(circuit, labels: dict[str, BetaLabel]) -> dict[str, float]:
     """Partial derivatives of the circuit value at the label means: the
     engine's backward sweep over its forward walk, with no literal forced."""
-    from pargue.propagate import _backward, _means
+    from pargue.propagate import _backward, _gradients, _means
     from pargue.semiring import PROBABILITY, _walk
 
-    values = _walk(circuit, PROBABILITY, _means(circuit, labels)._values)
-    return _backward(circuit, values, {})
+    values = _walk(circuit, PROBABILITY, _means(circuit, labels))
+    return _gradients(circuit, _backward(circuit, values, {}))

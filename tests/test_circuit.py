@@ -626,3 +626,54 @@ class TestEvaluationThroughSemiring:
     def test_counting_equals_model_count(self, example_af):
         c = compiled_example(example_af)
         assert evaluate(c, COUNTING, Labelling.constant(NAMES, 1)) == 7
+
+
+class TestIndex:
+    """Every way of building a circuit gives its nodes an index, which the
+    evaluators read."""
+
+    @staticmethod
+    def hand_built():
+        # (a or b) and c over (a, b, c): a decision on a, b's gap under a.
+        nodes = (
+            Node("lit", var="a"), Node("lit", var="a", positive=False),
+            Node("lit", var="b"), Node("lit", var="b", positive=False),
+            Node("lit", var="c"),
+            Node("or", children=(2, 3), decision="b"),
+            Node("and", children=(0, 5)),
+            Node("and", children=(1, 2)),
+            Node("or", children=(6, 7), decision="a"),
+            Node("and", children=(8, 4)),
+        )
+        return Circuit(nodes, 9, ("a", "b", "c"))
+
+    def test_every_construction_path_is_indexed_and_values_alike(self):
+        hand = self.hand_built()
+        wanted = {0b111, 0b101, 0b110}  # bit i for ("a", "b", "c")[i]
+        either = ClauseSet(("a", "b", "c"), 3, [(0b011, 0)])
+        with_c = ClauseSet(("a", "b", "c"), 3, [(0b011, 0), (0b100, 0)])
+        built = {
+            "hand": hand,
+            "_replace": hand._replace(nodes=list(hand.nodes)),
+            "_make": Circuit._make((tuple(hand.nodes), hand.root, hand.variables)),
+            # Every model sets c, so forcing it keeps the same function.
+            "condition": condition(compile_formula(with_c), {"c": True}),
+            "encode_enumerative": encode_enumerative(("a", "b", "c"), wanted),
+            "Compiler.circuit": Compiler(either).circuit(0b100),
+        }
+        points = Labelling.from_point_probabilities({"a": 0.3, "b": 0.6, "c": 0.8})
+        want = 0.8 * (0.3 + 0.7 * 0.6)
+        for how, c in built.items():
+            assert type(c.nodes).__name__ == "_Nodes", how
+            index = c.nodes._index
+            assert {i for i, _, _ in index.literals} | set(index.trues) | {
+                g[0] for g in index.gates
+            } == {i for i, n in enumerate(c.nodes) if n.kind != "false"}, how
+            assert evaluate(c, COUNTING, Labelling.constant(c.variables, 1)) == 3, how
+            assert evaluate(c, PROBABILITY, points) == pytest.approx(want, abs=1e-12), how
+            assert set(model_masks(c)) == wanted, how
+
+    def test_index_is_built_once_per_node_tuple(self):
+        c = self.hand_built()
+        assert c.nodes._index is c.nodes._index
+        assert c._replace(root=9).nodes._index is c.nodes._index

@@ -678,6 +678,31 @@ class TestAcyclicConstellation:
         # The cycle-free chain's stable and grounded answers agree as well.
         assert prob_c(graph, Semantics.ST, "x00").mean == grounded.mean
 
+    @pytest.mark.parametrize(
+        "attacks", [[("a", "b"), ("b", "c")], [("a", "b"), ("b", "a"), ("b", "c")]]
+    )
+    def test_stable_checks_the_framework_for_a_cycle_once(self, monkeypatch, attacks):
+        # Every argument's ST constellation spans the whole framework, whose
+        # cycle check is kept with the framework.
+        af_module = importlib.import_module("pargue.af")
+        scopes = []
+        real = af_module._acyclic
+
+        def counting(af, universe):
+            scopes.append(universe)
+            return real(af, universe)
+
+        monkeypatch.setattr(af_module, "_acyclic", counting)
+        monkeypatch.setattr(engine, "_acyclic", counting)
+        clear_caches()
+        af = ArgumentationFramework("abc", attacks)
+        graph = ProbabilisticGraph(af, dict.fromkeys(af.arguments, 0.4))
+        for name in af.arguments:
+            assert prob_c(graph, Semantics.ST, name).mean == pytest.approx(
+                brute_force_prob_c(graph, Semantics.ST, name), abs=1e-12
+            )
+        assert scopes == [af._full_mask]
+
 
 class TestFormulaSessions:
     """Each compile target is built from its own encoding alone."""

@@ -4,19 +4,26 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import backward_gradients, frameworks
+from conftest import backward_gradients, clause_sets, frameworks
 from pargue import (
+    PROBABILITY,
     BetaLabel,
+    Circuit,
     CovarianceSpec,
     InputError,
+    Labelling,
+    Node,
     Semantics,
     compile_formula,
     condition,
     encode,
+    evaluate,
     load_covariance_csv,
     propagate,
 )
+from pargue.propagate import _answer, _means
 
 
 @pytest.fixture
@@ -252,3 +259,51 @@ class TestPropagateWithCovariance:
         spec = CovarianceSpec.from_pairs(["a", "z"], {("a", "z"): 0.0})
         with pytest.raises(InputError, match="unknown arguments"):
             propagate(query_a, example_labels, covariance=spec)
+
+
+class TestIndexedKernel:
+    """``_answer`` reads the circuit's index, conditions through the labels
+    and takes the gradient in one backward pass. ``condition`` rebuilds the
+    circuit instead, so it judges both passes."""
+
+    @given(clause_sets(), st.randoms(use_true_random=False))
+    def test_moments_match_the_rebuilt_circuit(self, theory, rng):
+        # Every literal forced in turn, and none, under point and beta labels.
+        circuit = compile_formula(theory)
+        names = circuit.variables
+        betas = {}
+        for name in names:
+            m, strength = rng.uniform(0.05, 0.95), rng.uniform(0.5, 30.0)
+            betas[name] = BetaLabel(m * strength, (1.0 - m) * strength)
+        points = {name: label.mean for name, label in betas.items()}
+        step = 1e-5
+        for forced in ({}, *({name: value} for name in names for value in (True, False))):
+            judge = condition(circuit, forced)
+
+            def mean_at(p):
+                return evaluate(judge, PROBABILITY, Labelling.from_point_probabilities(p))
+
+            slopes = {}
+            for name in names:
+                up, down = dict(points), dict(points)
+                up[name] += step
+                down[name] -= step
+                slopes[name] = (mean_at(up) - mean_at(down)) / (2.0 * step)
+            want_mean = min(max(mean_at(points), 0.0), 1.0)
+            for labels in (betas, {n: BetaLabel.from_point(m) for n, m in points.items()}):
+                variances = {name: labels[name].variance for name in names}
+                got = _answer(circuit, _means(circuit, labels), variances, None, forced)
+                assert got.mean == pytest.approx(want_mean, abs=1e-12)
+                want = sum(slopes[n] * slopes[n] * variances[n] for n in names)
+                assert got.variance == pytest.approx(want, abs=1e-6)
+
+    def test_a_further_node_of_a_literal_shares_its_value_and_partial(self):
+        # a or a, with a's literal built twice: the value and gradient of 2p.
+        nodes = (Node("lit", var="a"), Node("lit", var="a"), Node("or", children=(0, 1)))
+        c = Circuit(nodes, 2, ("a",))
+        labels = {"a": BetaLabel(3.0, 7.0)}
+        assert backward_gradients(c, labels) == {"a": pytest.approx(2.0, abs=1e-12)}
+        got = _answer(c, _means(c, labels), {"a": 0.01}, None, {})
+        assert got.mean == pytest.approx(0.6, abs=1e-12)
+        assert got.variance == pytest.approx(4.0 * 0.01, abs=1e-12)
+        assert _answer(c, _means(c, labels), {"a": 0.01}, None, {"a": False}) == (0.0, 0.0)
