@@ -281,9 +281,8 @@ DEFAULT_LABEL_CONFIG = LabelConfig.build(overrides=_CALIBRATED)
 def to_fuzzy(label: BetaLabel, config: LabelConfig | None = None) -> FuzzyLabel:
     """Render a label as likelihood and confidence words."""
     cfg = config or DEFAULT_LABEL_CONFIG
-    m = moments(label)
-    a_index = _bin(m.mean, cfg.aleatory_edges)
-    e_index = _bin(m.variance, cfg.epistemic_edges)
+    a_index = _bin(label.mean, cfg.aleatory_edges)
+    e_index = _bin(label.variance, cfg.epistemic_edges)
     return FuzzyLabel(
         ALEATORY_LABELS[a_index],
         EPISTEMIC_LABELS[len(EPISTEMIC_LABELS) - 1 - e_index],

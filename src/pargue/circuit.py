@@ -30,9 +30,10 @@ met. ``compile_formula`` is a compiler's one circuit with nothing assumed.
 Each circuit is renumbered in depth-first post-order from its root, so it
 is the same whatever else the arena holds.
 
-A listed model set (``encode_enumerative``) needs no search: deciding its
-names in order, equal tails sharing a node, builds a reduced ordered
-decision diagram (Bryant, IEEE ToC 1986) straight into circuit nodes.
+A listed model set (``encode_enumerative``) or a truth table needs no
+search: deciding its names in order, equal tails sharing a node, builds a
+reduced ordered decision diagram (Bryant, IEEE ToC 1986) straight into
+circuit nodes, the same from either form of one function (``_diagram``).
 
 Circuits are immutable node arrays where children precede parents, the
 format used by the standard `.nnf` file layout this module also emits.
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from functools import cached_property
 
 from .af import _bits
@@ -344,13 +345,8 @@ def compile_formula(theory: ClauseSet) -> Circuit:
 
 def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
     """The circuit over ``names`` whose models are exactly ``masks``, bit i
-    for ``names[i]``: PR's theory and GR's constellation. Each name in turn
-    is decided, true branch first, on the mask tails still to place,
-    memoised so equal tails share one node and skipped where both branches
-    give one node. A branch is its decision literal, its child and gap nodes
-    up to the decision's variables. At most ``MAX_COMPILE_VARIABLES`` names
-    are declared, so the recursion is at most 26 frames deep.
-    """
+    for ``names[i]``: PR's theory. At most ``MAX_COMPILE_VARIABLES`` names
+    are declared."""
     if not all(isinstance(n, str) for n in names) or len(set(names)) < len(names):
         raise InputError(f"names must be distinct strings, got {list(names)!r}")
     declared = tuple(names)
@@ -358,18 +354,43 @@ def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
     tails = frozenset(masks)
     if not all(isinstance(m, int) and 0 <= m < 1 << len(names) for m in tails):
         raise InputError(f"masks must be non-negative integers below 2**{len(names)}")
+    return _diagram(declared, tails, _mask_halves)
+
+
+def _mask_halves(width: int, tails: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+    # Masks whose bit 0 is the name decided: those with it set, then clear, past it.
+    return frozenset(m >> 1 for m in tails if m & 1), frozenset(m >> 1 for m in tails if not m & 1)
+
+
+def _table_halves(width: int, table: int) -> tuple[int, int]:
+    # A 2^width-bit truth table, the name decided its highest index bit: high half, then low.
+    half = 1 << width - 1
+    return table >> half, table & (1 << half) - 1
+
+
+def _diagram(
+    names: tuple[str, ...],
+    tails: Hashable,
+    split: Callable[[int, Hashable], tuple[Hashable, Hashable]],
+) -> Circuit:
+    """The decision diagram of the function ``tails`` over ``names``.
+    ``split(width, tails)``, with ``width`` names left, gives the tails of
+    the first one's true and false branches; empty tails are false. Each
+    name in turn is decided, true branch first, memoised so equal tails
+    share one node and skipped where both branches give one node. A branch
+    is its decision literal, its child and gap nodes up to the decision's
+    variables."""
     builder = _Builder()
     false, true = builder.false(), builder.true()
-    memo: dict[tuple[int, frozenset[int]], tuple[int, int]] = {}
+    memo: dict[tuple[int, Hashable], tuple[int, int]] = {}
 
-    def build(i: int, tails: frozenset[int]) -> tuple[int, int]:
+    def build(i: int, tails: Hashable) -> tuple[int, int]:
         # The node of the tails over names[i:], and the bit mask of the names it mentions.
         if not tails or i == len(names):
             return (true if tails else false), 0
         hit = memo.get((i, tails))
         if hit is None:
-            high = build(i + 1, frozenset(m >> 1 for m in tails if m & 1))
-            low = build(i + 1, frozenset(m >> 1 for m in tails if not m & 1))
+            high, low = (build(i + 1, t) for t in split(len(names) - i, tails))
             hit = high
             if high[0] != low[0]:
                 span = 1 << i | high[1] | low[1]
@@ -385,9 +406,9 @@ def encode_enumerative(names: Sequence[str], masks: Iterable[int]) -> Circuit:
 
     root, span = build(0, tails)
     mentioned = {names[v] for v in _bits(span)}
-    root = builder.conj([root, *(builder.gap(v) for v in declared if v not in mentioned)])
+    root = builder.conj([root, *(builder.gap(v) for v in names if v not in mentioned)])
     nodes = _reachable(builder.nodes, root)
-    return Circuit(nodes, len(nodes) - 1, declared)
+    return Circuit(nodes, len(nodes) - 1, names)
 
 
 def _search(

@@ -23,13 +23,11 @@ extension of the present subgraph; one argument's constellation is the
 theory with its membership variable set true, and compiling it projects
 the membership variables away and leaves the accepting subgraphs. GR has
 no such form: ``_grounded_table`` labels every subgraph at once on
-bit-sliced ints, and the engine lists the subgraphs whose grounded
-extension holds the argument. Which arguments a constellation covers is
-the engine's choice (``engine._compiled`` hands over the argument's
-relevance cone wherever acceptance depends on nothing else), so every
-encoding here covers the whole framework it is given. ``_accepted``, one
-fixed point or subset scan per subgraph, serves the brute-force oracle
-alone.
+bit-sliced ints, and each argument's int is the truth table of its
+constellation, from which the engine builds the circuit. Which arguments
+a constellation covers is the engine's choice (``engine._compiled`` hands
+over the argument's relevance cone wherever acceptance depends on nothing
+else), so every encoding here covers the whole framework it is given.
 
 ``pargue/__init__.py`` re-exports the function ``encode`` under this
 module's name, so ``import pargue.encode as E`` binds the function, and an
@@ -45,18 +43,17 @@ from .af import (
     ArgumentationFramework,
     Semantics,
     _bits,
-    _extension_masks,
+    _extension_masks,  # noqa: F401  benchmark/spans.py wraps it in this module
     _semantics,
     extensions,
 )
 from .circuit import ClauseSet, _variable_pattern
 from .errors import CapacityError, InputError
 
-# The acceptance tables hold one bit or entry per subgraph of the framework
-# they are built for: GR's constellation builds 2^n-bit labellings for the
-# argument's cyclic cone, so n counts cone arguments; the prob-c oracle
-# visits 3^n (subgraph, subset) pairs of the whole framework.
-MAX_CONSTELLATION_ARGUMENTS = 20
+# GR's constellation on a cyclic cone of n arguments builds a 2^n-bit truth
+# table per argument, 11.7 MB in all at n = 22: a query on the 22-cycle peaks
+# at 68 MB RSS, and one on a 24-cycle would at 233 MB.
+MAX_CONSTELLATION_ARGUMENTS = 22
 
 
 def _conflict_free(af: ArgumentationFramework) -> list[tuple[int, int]]:
@@ -132,35 +129,14 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
     return ClauseSet(names, n, tuple(clauses))
 
 
-# The brute-force prob-c oracle's table, keyed on the whole framework; no
-# query answers from it. The process that checks the engine against the
-# oracles builds 36 (framework, semantics) tables; each fits.
-@lru_cache(maxsize=64)
-def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
-    """Per subgraph mask, the union of the induced subgraph's extensions:
-    the arguments credulously accepted there."""
-    _require_table(af)
-    return tuple(
-        reduce(int.__or__, _extension_masks(af, sub, semantics), 0)
-        for sub in range(1 << len(af.arguments))
-    )
-
-
-def _require_table(af: ArgumentationFramework) -> None:
-    if len(af.arguments) > MAX_CONSTELLATION_ARGUMENTS:
-        raise CapacityError(
-            f"subgraph acceptance table supports at most {MAX_CONSTELLATION_ARGUMENTS} "
-            f"arguments, got {len(af.arguments)}"
-        )
-
-
-# Keyed on the cyclic cone subgraph GR's constellation is built for; bounded
-# like _accepted. A table holds one 2^k-bit int per argument, 2.5 MB at
-# k = 20.
+# Keyed on the cyclic cone subgraph GR's constellation is built for. A
+# 22-argument table holds 11.7 MB, so 64 of them would hold 750 MB.
 @lru_cache(maxsize=64)
 def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
-    """Per argument x, the int whose bit S is set iff x is in the grounded
-    extension of the subgraph induced by mask S.
+    """Per argument x, the truth table of x's grounded acceptance: bit S is
+    set iff x is in the grounded extension of the subgraph that holds each
+    argument y with bit n - 1 - y of S set. Argument 0 is the highest bit,
+    so halving the table decides the arguments in order.
 
     Every subgraph's grounded labelling is computed at once on bit-sliced
     ints, one bit per subgraph (Caminada, JELIA 2006). From all arguments
@@ -169,9 +145,13 @@ def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
     is IN, until nothing changes: the least fixed point, which is the
     grounded labelling of each subgraph.
     """
-    _require_table(af)
     n = len(af.arguments)
-    present = [_variable_pattern(x, n) for x in range(n)]
+    if n > MAX_CONSTELLATION_ARGUMENTS:
+        raise CapacityError(
+            f"subgraph acceptance table supports at most {MAX_CONSTELLATION_ARGUMENTS} "
+            f"arguments, got {n}"
+        )
+    present = [_variable_pattern(n - 1 - x, n) for x in range(n)]
     full = (1 << (1 << n)) - 1
     absent = [full ^ p for p in present]
     attackers = [tuple(_bits(mask)) for mask in af._attacker_masks]
@@ -189,17 +169,6 @@ def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
                 labelled_in[x], labelled_out[x] = inside, outside
                 changed = True
     return tuple(labelled_in)
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, least first, in time linear
-    in its length (``af._bits`` is quadratic on a 2^20-bit int)."""
-    digits = bin(mask)[:1:-1]
-    found, i = [], digits.find("1")
-    while i >= 0:
-        found.append(i)
-        i = digits.find("1", i + 1)
-    return found
 
 
 def _member(name: str) -> str:
@@ -220,8 +189,8 @@ def encode_constellation(af: ArgumentationFramework, semantics: Semantics) -> Cl
     that subgraph holding x, which is conflict-free and inside the subgraph;
     under AD (and CO and PR, whose credulous acceptance is the same, Dung
     1995) it attacks every present attacker of a member, and under ST every
-    present non-member. GR has no theory: the engine lists its accepting
-    subgraphs from ``_grounded_table``.
+    present non-member. GR has no theory: the engine builds its
+    constellation from ``_grounded_table``.
     """
     semantics = _semantics(semantics)
     if semantics is Semantics.GR:

@@ -10,8 +10,8 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   for the total probability of the subgraphs that credulously accept the
   argument. CO and PR share AD's constellation, compiled like ST's from an
   existential theory with its membership variables projected away; GR's
-  lists the subgraphs whose grounded labelling, computed for all of them
-  at once, accepts the argument. With no attack cycle every subgraph has
+  is built from its truth table, the grounded labelling of every subgraph
+  computed at once. With no attack cycle every subgraph has
   one complete extension, which is grounded, preferred and stable (Dung
   1995, Thm 30), so GR on an acyclic cone, and ST on an acyclic framework,
   share AD's too. ``_compiled`` alone decides what a constellation covers:
@@ -25,15 +25,15 @@ Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
 compiled targets (a framework's theory, or one argument's constellation,
 which ``mc_oracle`` still compiles under CF too). PR's theory (the maximal
-models of the cached CO circuit) and GR's constellation on a cyclic cone
-are listed sets, built by ``encode_enumerative``. A theory is encoded as a
-clause set and compiled. The constellations of one (framework, semantics)
-family share one encoded theory and one search (``_compiler``), each
-argument's membership bit an assumption. Circuits are numbered from their
-root, so a target compiles to the same circuit whatever the process built
-before. A point probability is a beta label of zero variance, so both
-label kinds get their moments from the one path in ``propagate``;
-``_query`` renders them into a ``QueryResult``.
+models of the cached CO circuit) is a listed set, and GR's constellation on
+a cyclic cone a truth table; ``circuit._diagram`` builds both. A theory is
+encoded as a clause set and compiled. The constellations of one (framework,
+semantics) family share one encoded theory and one search (``_compiler``),
+each argument's membership bit an assumption. Circuits are numbered from
+their root, so a target compiles to the same circuit whatever the process
+built before. A point probability is a beta label of zero variance, so both
+label kinds get their moments from the one path in ``propagate``; ``_query``
+renders them into a ``QueryResult``.
 Every route has an independent oracle: enumeration over extensions or every
 subgraph (CF included) with the exact mixture variance, and a Monte-Carlo
 estimate.
@@ -42,17 +42,18 @@ estimate.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .af import (
-    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask, _semantics,
-    subgraph,
+    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask,
+    _extension_masks, _semantics, subgraph,
 )
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import (
-    Circuit, Compiler, _require_width, compile_formula, condition, encode_enumerative, model_count
+    Circuit, Compiler, _diagram, _require_width, _table_halves, compile_formula, condition,
+    encode_enumerative, model_count,
 )
-from .encode import _accepted, _grounded_table, _set_bits, encode, encode_constellation
+from .encode import _grounded_table, encode, encode_constellation
 from .errors import CapacityError, InputError
 # propagate is not called here, but must resolve: benchmark/spans.py wraps
 # it in this module.
@@ -155,8 +156,7 @@ def _compiled(
         complete = _compiled(af, Semantics.CO, None)[0]
         circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
     elif argument is not None and semantics is Semantics.GR:
-        accepting = _grounded_table(af)[af._index[argument]]
-        circuit = encode_enumerative(af.arguments, _set_bits(accepting))
+        circuit = _diagram(af.arguments, _grounded_table(af)[af._index[argument]], _table_halves)
     elif argument is None:
         circuit = compile_formula(encode(af, semantics))
     else:
@@ -269,13 +269,17 @@ def prob_c(
     return _query(graph, semantics, argument, "prob-c", covariance, config)
 
 
-def _brute_bit(af: ArgumentationFramework, argument: str) -> int:
-    """The argument's bit mask, on a framework small enough to enumerate."""
+def _require_enumerable(af: ArgumentationFramework) -> None:
     if len(af.arguments) > MAX_BRUTE_FORCE_ARGUMENTS:
         raise CapacityError(
             f"brute-force oracles support at most {MAX_BRUTE_FORCE_ARGUMENTS} "
             f"arguments, got {len(af.arguments)}"
         )
+
+
+def _brute_bit(af: ArgumentationFramework, argument: str) -> int:
+    """The argument's bit mask, on a framework small enough to enumerate."""
+    _require_enumerable(af)
     return 1 << af._require(argument)
 
 
@@ -334,6 +338,20 @@ def brute_force_prob_c(
     bit = _brute_bit(graph.framework, argument)
     table = _accepted(graph.framework, _semantics(semantics))
     return _oracle_answer(graph, [sub for sub, union in enumerate(table) if union & bit])
+
+
+# The brute-force prob-c oracle's table, keyed on the whole framework; no
+# query answers from it. The process that checks the engine against the
+# oracles builds 36 (framework, semantics) tables; each fits.
+@lru_cache(maxsize=64)
+def _accepted(af: ArgumentationFramework, semantics: Semantics) -> tuple[int, ...]:
+    """Per subgraph mask, the union of the induced subgraph's extensions:
+    the arguments credulously accepted there."""
+    _require_enumerable(af)
+    return tuple(
+        reduce(int.__or__, _extension_masks(af, sub, semantics), 0)
+        for sub in range(1 << len(af.arguments))
+    )
 
 
 def mc_oracle(

@@ -109,14 +109,6 @@ class Labelling:
         """Label every literal of the given variables with one value."""
         return cls({(v, s): value for v in variables for s in (True, False)})
 
-    def conditioned(self, forced: Mapping[str, bool], zero: object) -> "Labelling":
-        """Copy with every literal that contradicts ``forced`` labelled ``zero``."""
-        copy = Labelling({})
-        copy._positive, copy._negative = dict(self._positive), dict(self._negative)
-        for var, value in forced.items():
-            (copy._negative if value else copy._positive)[var] = zero
-        return copy
-
 
 def _walk(
     circuit: Circuit,

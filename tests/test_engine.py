@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pargue
 from conftest import (
@@ -28,6 +28,8 @@ from pargue import (
     brute_force_prob,
     brute_force_prob_c,
     condition,
+    encode_enumerative,
+    format_nnf,
     mc_oracle,
     model_count,
     prob,
@@ -37,8 +39,8 @@ from pargue import (
 from pargue import encode, engine, extensions, subgraph
 from pargue.af import _acyclic, _cone_mask
 from pargue.circuit import Compiler, validate
-from pargue.encode import _accepted, _grounded_table
-from pargue.engine import _compiled
+from pargue.encode import _grounded_table
+from pargue.engine import _accepted, _compiled
 from pargue.semiring import PROBABILITY, Labelling, evaluate
 
 CHAIN = ArgumentationFramework("abc", [("a", "b"), ("b", "c")])
@@ -425,8 +427,9 @@ class TestConstellationScan:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(encode_module, "_extension_masks", counting)
-        encode_module._accepted.cache_clear()
+        for module in (encode_module, engine):
+            monkeypatch.setattr(module, "_extension_masks", counting)
+        engine._accepted.cache_clear()
         encode_module._grounded_table.cache_clear()
         clear_caches()
         loop = ArgumentationFramework("ab", [("a", "a"), ("a", "b")])
@@ -446,22 +449,44 @@ class TestConstellationScan:
     @given(frameworks(max_args=10, names="abcdefghij"))
     def test_grounded_table_is_the_fixed_point_scan(self, af):
         # Bit S of argument x's entry is whether x is in the grounded
-        # extension of subgraph S, as each subgraph's own fixed point says.
+        # extension of the subgraph holding each argument y with bit n-1-y of
+        # S set, as that subgraph's own fixed point says. The scan's subgraph
+        # masks hold argument y at bit y.
+        n = len(af.arguments)
         scan = _accepted(af, Semantics.GR)
+
+        def position(sub):
+            return sum(1 << n - 1 - y for y in range(n) if sub >> y & 1)
+
         want = tuple(
-            sum(1 << sub for sub, accepted in enumerate(scan) if accepted >> x & 1)
-            for x in range(len(af.arguments))
+            sum(1 << position(sub) for sub, accepted in enumerate(scan) if accepted >> x & 1)
+            for x in range(n)
         )
         assert _grounded_table(af) == want
+
+    @given(frameworks(max_args=8))
+    def test_grounded_constellation_is_the_listed_scan(self, af):
+        # On a cyclic cone GR's constellation is built from its truth table.
+        # Listing the accepting subgraphs the per-subgraph scan finds builds
+        # the same circuit, node for node.
+        cyclic = [x for x in af.arguments if not _acyclic(af, _cone_mask(af, x))]
+        assume(cyclic)
+        for name in cyclic:
+            cone = subgraph(af, af._members(_cone_mask(af, name)))
+            bit = 1 << cone._index[name]
+            masks = [sub for sub, union in enumerate(_accepted(cone, Semantics.GR)) if union & bit]
+            circuit, count = _compiled(cone, Semantics.GR, name)
+            assert format_nnf(circuit) == format_nnf(encode_enumerative(cone.arguments, masks))
+            assert passed(validate(circuit))
+            table = _grounded_table(cone)[cone._index[name]]
+            assert count == model_count(circuit) == bin(table).count("1") == len(masks)
 
     def test_grounded_prob_c_runs_no_fixed_point_scan(self, monkeypatch):
         # The per-subgraph scan serves the brute-force oracle alone.
         def refuse(*args):
             raise AssertionError("_accepted called")
 
-        encode_module = importlib.import_module("pargue.encode")
         monkeypatch.setattr(engine, "_accepted", refuse)
-        monkeypatch.setattr(encode_module, "_accepted", refuse)
         clear_caches()
         # a and b attack each other, b attacks c, c attacks itself: every
         # cone is cyclic.
@@ -544,8 +569,8 @@ class TestRelevanceCone:
 
     def test_grounded_past_twenty_arguments(self):
         # x00's cone is the 3-cycle x00 <- x01 <- x02 <- x00; x00 attacks
-        # into a 19-argument chain that stays outside it.
-        names = [f"x{i:02d}" for i in range(22)]
+        # into a 20-argument chain that stays outside it.
+        names = [f"x{i:02d}" for i in range(23)]
         attacks = [("x01", "x00"), ("x02", "x01"), ("x00", "x02"), ("x00", "x03")]
         attacks += list(zip(names[3:], names[4:]))
         af = ArgumentationFramework(names, attacks)
@@ -555,11 +580,11 @@ class TestRelevanceCone:
         alone = ProbabilisticGraph(cone, {name: labels[name] for name in cone.arguments})
         exact = brute_force_prob_c(alone, Semantics.GR, "x00")
         assert result.mean == pytest.approx(exact, abs=1e-15)
-        # {x00} and {x00, x02} accept x00, each beside any of the other 19.
-        assert result.model_count == 2 * 2**19
-        # The chain's end has every argument in its cone.
+        # {x00} and {x00, x02} accept x00, each beside any of the other 20.
+        assert result.model_count == 2 * 2**20
+        # The chain's end has all 23 arguments in its cone, past the table's 22.
         with pytest.raises(CapacityError):
-            prob_c(ProbabilisticGraph(af, labels), Semantics.GR, "x21")
+            prob_c(ProbabilisticGraph(af, labels), Semantics.GR, "x22")
 
     def test_small_cones_of_a_long_chain(self):
         # n_i attacks n_{i+1}: the cone of n_k is n_0..n_k, so a query
@@ -1005,14 +1030,24 @@ class TestGuards:
             brute_force_prob_c(graph, Semantics.AD, "n0")
 
     def test_constellation_capacity(self):
-        # Only GR's constellation scans every subgraph, of the argument's
-        # cone: 21 unattacked arguments answer, a 21-cycle is refused.
+        # Only GR's constellation labels every subgraph, of the argument's
+        # cyclic cone: 21 unattacked arguments answer, and so does a
+        # 21-cycle; a 23-cycle is refused.
         names = [f"n{i:02d}" for i in range(21)]
         graph = ProbabilisticGraph(ArgumentationFramework(names), {name: 0.5 for name in names})
         assert prob_c(graph, Semantics.GR, "n00").mean == 0.5
         cycle = ArgumentationFramework(names, list(zip(names, names[1:] + names[:1])))
         graph = ProbabilisticGraph(cycle, {name: 0.5 for name in names})
-        with pytest.raises(CapacityError, match="at most 20 arguments, got 21"):
+        # n{i} attacks n{i+1}. n00 is grounded where it and the r arguments
+        # before it (n20, n19, ...) are present and the next one back is
+        # not, for an even r up to 19, whatever the other 19 - r are.
+        count = sum(2 ** (19 - r) for r in range(0, 20, 2))
+        result = prob_c(graph, Semantics.GR, "n00")
+        assert (result.mean, result.model_count) == (count / 2**21, count)
+        names = [f"n{i:02d}" for i in range(23)]
+        cycle = ArgumentationFramework(names, list(zip(names, names[1:] + names[:1])))
+        graph = ProbabilisticGraph(cycle, {name: 0.5 for name in names})
+        with pytest.raises(CapacityError, match="at most 22 arguments, got 23"):
             prob_c(graph, Semantics.GR, "n00")
 
     def test_compile_capacity(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -24,8 +25,7 @@ from pargue import (
     prob_c,
     subgraph,
 )
-from pargue.encode import _accepted
-from pargue.engine import _compiled
+from pargue.engine import _accepted, _compiled
 from pargue.semiring import model_masks
 
 from conftest import (
@@ -290,8 +290,8 @@ class TestConstellationEncoding:
             _compiled(example_af, Semantics.AD, "z")
 
     def test_capacity(self):
-        # GR scans every subgraph's fixed point of the argument's cone, up to
-        # 20 arguments. AD compiles its existential theory and meets only the
+        # GR labels every subgraph of the argument's cyclic cone, up to 22
+        # arguments. AD compiles its existential theory and meets only the
         # 25-variable compile cap, counted on the cone's argument ids.
         names = [f"x{i:02d}" for i in range(21)]
         af = ArgumentationFramework(names, [("x00", "x01"), ("x01", "x00"), ("x02", "x03")])
@@ -302,9 +302,20 @@ class TestConstellationEncoding:
         result = prob_c(graph, Semantics.GR, "x00")
         assert result.mean == pytest.approx(0.25 * 0.74, abs=1e-15)
         assert result.model_count == 2**19
+        # On a 21-cycle, x{i} attacking x{i+1}, x00 is grounded where it and
+        # the r arguments before it (x20, x19, ...) are present and the next
+        # one back is not, for an even r up to 19.
         cycle = ArgumentationFramework(names, list(zip(names, names[1:] + names[:1])))
-        with pytest.raises(CapacityError, match="at most 20 arguments, got 21"):
-            prob_c(ProbabilisticGraph(cycle, graph.labels), Semantics.GR, "x00")
+        result = prob_c(ProbabilisticGraph(cycle, graph.labels), Semantics.GR, "x00")
+        back = [graph.labels[f"x{-i % 21:02d}"] for i in range(21)]
+        assert result.mean == pytest.approx(
+            sum(math.prod(back[: r + 1]) * (1 - back[r + 1]) for r in range(0, 20, 2)), abs=1e-15
+        )
+        assert result.model_count == sum(2 ** (19 - r) for r in range(0, 20, 2))
+        longer = [f"x{i:02d}" for i in range(23)]
+        cycle = ArgumentationFramework(longer, list(zip(longer, longer[1:] + longer[:1])))
+        with pytest.raises(CapacityError, match="at most 22 arguments, got 23"):
+            prob_c(ProbabilisticGraph(cycle, {name: 0.5 for name in longer}), Semantics.GR, "x00")
         # x00 defends itself against x01, so every subgraph holding it accepts it.
         result = prob_c(graph, Semantics.AD, "x00")
         assert result.mean == pytest.approx(0.25, abs=1e-15)

@@ -24,7 +24,7 @@ from pargue import (
 from conftest import clause_sets, frameworks, models
 from pargue.af import _extension_masks
 from pargue.engine import _compiled
-from pargue.semiring import MAXIMAL_MODELS, model_masks
+from pargue.semiring import MAXIMAL_MODELS, _walk, model_masks
 
 NAMES = ("a", "b", "c", "d")
 
@@ -113,9 +113,10 @@ class TestEvaluate:
 
 
 def _conditioned_value(circuit, forced, semiring, labelling):
-    """Query value through the labelling, as the engine conditions, checked
-    against evaluating the circuit that ``condition`` rebuilds."""
-    got = evaluate(circuit, semiring, labelling.conditioned(forced, semiring.zero))
+    """Query value with the contradicting literals zeroed in the pass, as the
+    engine conditions, checked against evaluating the circuit that
+    ``condition`` rebuilds."""
+    got = _walk(circuit, semiring, labelling, forced=forced)[circuit.root]
     rebuilt = evaluate(condition(circuit, forced), semiring, labelling)
     if semiring is COUNTING:
         assert got == rebuilt
