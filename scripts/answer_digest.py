@@ -8,7 +8,10 @@ its model count. The digest is the sha256 of those lines, so two checkouts
 print the same digest exactly when their answers are bit-identical and their
 circuits the same size. Every distinct circuit an answer is read from, as
 ``engine._compiled`` returns it, is also checked with ``validate``, and any
-that fails makes the script exit 1.
+that fails makes the script exit 1. The ``nnf digest`` is the sha256 of
+``format_nnf`` over those circuits in the order of first use, so two
+checkouts print the same one exactly when they build byte-identical
+circuits.
 
 ``--write FILE`` saves the lines; ``--compare FILE`` reads lines saved by an
 earlier checkout and prints the largest change in mean and in variance, the
@@ -33,7 +36,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 import corpus  # noqa: E402
-from pargue import ProbabilisticGraph, Semantics, cli, engine, prob, prob_c, validate  # noqa: E402
+from pargue import (  # noqa: E402
+    ProbabilisticGraph, Semantics, cli, engine, format_nnf, prob, prob_c, validate,
+)
 
 WORKLOADS = ("warm-table", "prob-c")
 SEEDS = (1, 2, 3)
@@ -131,6 +136,8 @@ def main(argv=None) -> int:
     distinct = dict.fromkeys(compiled.values())
     failed = invalid(distinct)
     print(f"circuits validated: {len(distinct)} distinct, {failed} failing")
+    nnf = "".join(map(format_nnf, distinct))
+    print(f"nnf digest: {hashlib.sha256(nnf.encode()).hexdigest()}")
     if args.write:
         Path(args.write).write_text(text, encoding="utf-8")
     if args.compare:

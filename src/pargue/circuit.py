@@ -20,15 +20,16 @@ Marquis, AAAI 2019), within the same search: kept variables are decided
 first; eliminated variables are assigned, not emitted, when a clause makes
 them unit or they occur with one polarity only; components are split on
 all variables, eliminated ones included; and a component that mentions no
-kept variable becomes the true or the false node by a satisfiability check.
+kept variable is decided by the same branch step, which emits nothing for
+an eliminated variable, so the component is the true or the false node.
 Only kept variables make disjunctions, so the circuit stays deterministic.
 
-A ``Compiler`` keeps one clause set's search, its arena and component
-cache, across circuits: each circuit assumes a set of variables true, as
-if they were unit clauses, and shares every component the earlier ones
-met. ``compile_formula`` is a compiler's one circuit with nothing assumed.
-Each circuit is renumbered in depth-first post-order from its root, so it
-is the same whatever else the arena holds.
+The search is a ``Compiler``, which keeps its arena and component cache
+across circuits: each circuit assumes a set of variables true, as if they
+were unit clauses, and shares every component the earlier ones met.
+``compile_formula`` is a compiler's one circuit with nothing assumed. Each
+circuit is renumbered in depth-first post-order from its root, so it is the
+same whatever else the arena holds. No compile path makes a reference cycle.
 
 A listed model set (``encode_enumerative``) or a truth table needs no
 search: deciding its names in order, equal tails sharing a node, builds a
@@ -301,6 +302,10 @@ class Compiler:
     residual whatever was assumed, so each cache hit is sound. A circuit
     equals ``compile_formula`` of the clause set with the assumed unit
     clauses added, node for node, whatever the compiler built before.
+    ``component`` and ``expand`` recurse through the builder's disjunction,
+    three frames per decided variable, kept or eliminated: at most 151
+    under the caps. A compiler holds no reference cycle, so a dropped one
+    is freed at once.
 
     The arena and the cache only grow: a compiler holds every node and
     component of every circuit compiled from it, so its memory is at most
@@ -309,19 +314,159 @@ class Compiler:
     """
 
     def __init__(self, theory: ClauseSet) -> None:
-        self.variables = theory.names[: theory.declared]
-        self._width = len(theory.names)
-        _require_width(len(self.variables), self._width - len(self.variables))
-        self._builder = _Builder()
-        self._root = _search(self._builder, theory.clauses, self._width, self.variables)
+        names, clauses = theory.names, theory.clauses
+        self.variables = names[: theory.declared]
+        _require_width(len(self.variables), len(names) - len(self.variables))
+        self.names = names
+        # Bit masks of the kept (declared) and the eliminated variables.
+        self.kept = (1 << theory.declared) - 1
+        self.hidden = ((1 << len(names)) - 1) ^ self.kept
+        self.pos_occ, self.neg_occ = [0] * len(names), [0] * len(names)
+        for i, (p, n) in enumerate(clauses):
+            for v in _bits(p):
+                self.pos_occ[v] |= 1 << i
+            for v in _bits(n):
+                self.neg_occ[v] |= 1 << i
+        self.occ = [p | n for p, n in zip(self.pos_occ, self.neg_occ)]
+        self.cpos = [p for p, _ in clauses]
+        self.cvars = [p | n for p, n in clauses]
+        self.builder = _Builder()
+        self.false = self.builder.false()
+        self.cache: dict[tuple[int, int], int] = {}
+        # Unit clauses are assigned with every circuit's assumptions.
+        on = off = 0
+        for p, n in clauses:
+            if not (p | n) & (p | n) - 1:
+                if not p | n:  # the empty clause: a conflict, each bit true and false
+                    on = off = -1
+                on |= p
+                off |= n
+        self.units = on, off
 
     def circuit(self, assume: int = 0) -> Circuit:
         """The circuit over the declared names of the clause set with the
         bits of ``assume`` true, kept or eliminated ones alike."""
-        if not isinstance(assume, int) or not 0 <= assume < 1 << self._width:
-            raise InputError(f"assumptions must be a mask below 2**{self._width}, got {assume!r}")
-        nodes = _reachable(self._builder.nodes, self._root(assume))
-        return Circuit(nodes, len(nodes) - 1, self.variables)
+        width = len(self.names)
+        if not isinstance(assume, int) or not 0 <= assume < 1 << width:
+            raise InputError(f"assumptions must be a mask below 2**{width}, got {assume!r}")
+        on, off = self.units
+        live, free = (1 << len(self.cvars)) - 1, (1 << width) - 1
+        root = self.expand(live, free, self.kept, 0, on | assume, off)
+        return _reachable(self.builder.nodes, root, self.variables)
+
+    def propagate(
+        self, live: int, free: int, on: int, off: int
+    ) -> tuple[int, int, int, int] | None:
+        """Assign the bits of ``on`` true and of ``off`` false, then unit
+        literals and pure literals of eliminated variables, to a fixed
+        point: the live clauses, free variables and all bits set true and
+        false, or None on a conflict. A pure literal keeps a model only
+        under projection."""
+        pos_occ, neg_occ, cpos, cvars = self.pos_occ, self.neg_occ, self.cpos, self.cvars
+        on_all = off_all = 0
+        while True:
+            if not on | off:
+                for v in _bits(free & self.hidden):
+                    if not neg_occ[v] & live:
+                        if pos_occ[v] & live:
+                            on |= 1 << v
+                    elif not pos_occ[v] & live:
+                        off |= 1 << v
+                if not on | off:
+                    return live, free, on_all, off_all
+            if on & off:
+                return None
+            on_all |= on
+            off_all |= off
+            free &= ~(on | off)
+            satisfied = shrunk = 0
+            for m, yes, no in ((on, pos_occ, neg_occ), (off, neg_occ, pos_occ)):
+                for v in _bits(m):
+                    satisfied |= yes[v]
+                    shrunk |= no[v]
+            live &= ~satisfied
+            on = off = 0
+            for c in _bits(shrunk & live):
+                rest = cvars[c] & free
+                if not rest & (rest - 1):
+                    if not rest:
+                        return None
+                    if cpos[c] & rest:
+                        on |= rest
+                    else:
+                        off |= rest
+
+    def split(self, live: int, free: int) -> list[tuple[int, int]]:
+        """The live clauses grouped by shared free variables, as (clause
+        mask, variable mask) pairs in the order of their least variable."""
+        occ, cvars = self.occ, self.cvars
+        parts = []
+        while live:
+            clauses = live & -live
+            variables = frontier = cvars[clauses.bit_length() - 1] & free
+            while frontier:
+                reached = 0
+                for v in _bits(frontier):
+                    reached |= occ[v]
+                reached &= live & ~clauses
+                clauses |= reached
+                frontier = 0
+                for c in _bits(reached):
+                    frontier |= cvars[c]
+                frontier &= free & ~variables
+                variables |= frontier
+            live &= ~clauses
+            parts.append((clauses, variables))
+        parts.sort(key=lambda part: part[1] & -part[1])
+        return parts
+
+    def expand(self, live: int, free: int, span: int, decision: int, on: int, off: int) -> int:
+        """The node of the residual once ``on`` and ``off`` are assigned:
+        the kept decision literal first, then the other kept literals set,
+        the components and gap nodes for the kept variables of ``span``
+        left uncovered."""
+        state = self.propagate(live, free, on, off)
+        if state is None:
+            return self.false
+        live, free, on, off = state
+        builder, names = self.builder, self.names
+        covered = (on | off) & self.kept
+        parts = []
+        for m in (decision, covered & ~decision):
+            for v in _bits(m):
+                parts.append(builder.literal(names[v], bool(on >> v & 1)))
+        for clauses, variables in self.split(live, free):
+            node = self.component(clauses, variables)
+            if node == self.false:
+                return node
+            parts.append(node)
+            covered |= variables
+        parts += (builder.gap(names[v]) for v in _bits(span & ~covered))
+        return builder.conj(parts)
+
+    def component(self, clauses: int, variables: int) -> int:
+        """The node of one component, which mentions exactly its kept
+        variables: the branch on its kept variable, or with none its
+        eliminated one, in the most clauses, the lowest bit on ties."""
+        key = (clauses, variables)
+        node = self.cache.get(key)
+        if node is None:
+            occ, span = self.occ, variables & self.kept
+            best = -1
+            for i in _bits(span or variables):
+                count = (occ[i] & clauses).bit_count()
+                if count > best:
+                    best, v = count, i
+            low = 1 << v
+            branch = (clauses, variables & ~low, span, low & span)
+            # A lazy pair: disj stops at a true first branch, as only an
+            # eliminated variable's can be.
+            node = self.builder.disj(
+                itertools.starmap(self.expand, ((*branch, low, 0), (*branch, 0, low))),
+                decision=self.names[v],
+            )
+            self.cache[key] = node
+        return node
 
 
 def compile_formula(theory: ClauseSet) -> Circuit:
@@ -336,9 +481,8 @@ def compile_formula(theory: ClauseSet) -> Circuit:
     The search caches each component on its (clause-id mask, variable mask)
     pair: every live clause of a component is the original clause cut down
     to the component's variables, so the pair names the residual. Eliminated
-    variables are assigned by propagation or settled by an iterative
-    satisfiability check, never in a frame of their own, so the search
-    recurses at most two frames per decided kept variable, plus one.
+    variables are assigned by propagation, or decided, emitting nothing, in
+    a component with no kept variable left.
     """
     return Compiler(theory).circuit(0)
 
@@ -376,194 +520,47 @@ def _diagram(
     """The decision diagram of the function ``tails`` over ``names``.
     ``split(width, tails)``, with ``width`` names left, gives the tails of
     the first one's true and false branches; empty tails are false. Each
-    name in turn is decided, true branch first, memoised so equal tails
-    share one node and skipped where both branches give one node. A branch
-    is its decision literal, its child and gap nodes up to the decision's
-    variables."""
+    name in turn is decided by ``_decide``, and the root is padded with gap
+    nodes up to ``names``."""
     builder = _Builder()
-    false, true = builder.false(), builder.true()
-    memo: dict[tuple[int, Hashable], tuple[int, int]] = {}
-
-    def build(i: int, tails: Hashable) -> tuple[int, int]:
-        # The node of the tails over names[i:], and the bit mask of the names it mentions.
-        if not tails or i == len(names):
-            return (true if tails else false), 0
-        hit = memo.get((i, tails))
-        if hit is None:
-            high, low = (build(i + 1, t) for t in split(len(names) - i, tails))
-            hit = high
-            if high[0] != low[0]:
-                span = 1 << i | high[1] | low[1]
-                branches = []
-                for positive, (child, mentions) in ((True, high), (False, low)):
-                    if child != false:  # a branch with no model gets no gap nodes
-                        gaps = (builder.gap(names[v]) for v in _bits(span & ~(1 << i | mentions)))
-                        parts = [builder.literal(names[i], positive), child, *gaps]
-                        branches.append(builder.conj(parts))
-                hit = builder.disj(branches, decision=names[i]), span
-            memo[i, tails] = hit
-        return hit
-
-    root, span = build(0, tails)
+    root, span = _decide(builder, {}, names, split, 0, tails)
     mentioned = {names[v] for v in _bits(span)}
     root = builder.conj([root, *(builder.gap(v) for v in names if v not in mentioned)])
-    nodes = _reachable(builder.nodes, root)
-    return Circuit(nodes, len(nodes) - 1, names)
+    return _reachable(builder.nodes, root, names)
 
 
-def _search(
-    builder: _Builder, clauses: Sequence[tuple[int, int]], width: int, declared: Sequence[str]
-) -> Callable[[int], int]:
-    """The function giving the root node for ``clauses`` over ``width``
-    variable bits with the bits of its argument set true. The low
-    ``len(declared)`` bits are the declared variables, the rest are
-    eliminated. Every call shares one component cache."""
-    kept = (1 << len(declared)) - 1
-    hidden = ((1 << width) - 1) ^ kept
-    pos_occ, neg_occ = [0] * width, [0] * width
-    for i, (p, n) in enumerate(clauses):
-        for v in _bits(p):
-            pos_occ[v] |= 1 << i
-        for v in _bits(n):
-            neg_occ[v] |= 1 << i
-    occ = [p | n for p, n in zip(pos_occ, neg_occ)]
-    cpos = [p for p, _ in clauses]
-    cvars = [p | n for p, n in clauses]
-    false = builder.false()
-    cache: dict[tuple[int, int], int] = {}
-
-    def propagate(live: int, free: int, on: int, off: int) -> tuple[int, int, int, int] | None:
-        # Assign the bits of on true and of off false, then unit literals and
-        # pure literals of eliminated variables, to a fixed point: the live
-        # clauses, free variables and all bits set true and false, or None on
-        # a conflict. A pure literal keeps a model only under projection.
-        on_all = off_all = 0
-        while True:
-            if not on | off:
-                for v in _bits(free & hidden):
-                    if not neg_occ[v] & live:
-                        if pos_occ[v] & live:
-                            on |= 1 << v
-                    elif not pos_occ[v] & live:
-                        off |= 1 << v
-                if not on | off:
-                    return live, free, on_all, off_all
-            if on & off:
-                return None
-            on_all |= on
-            off_all |= off
-            free &= ~(on | off)
-            satisfied = shrunk = 0
-            for m, yes, no in ((on, pos_occ, neg_occ), (off, neg_occ, pos_occ)):
-                for v in _bits(m):
-                    satisfied |= yes[v]
-                    shrunk |= no[v]
-            live &= ~satisfied
-            on = off = 0
-            for c in _bits(shrunk & live):
-                rest = cvars[c] & free
-                if not rest & (rest - 1):
-                    if not rest:
-                        return None
-                    if cpos[c] & rest:
-                        on |= rest
-                    else:
-                        off |= rest
-
-    def split(live: int, free: int) -> list[tuple[int, int]]:
-        # The live clauses grouped by shared free variables, as (clause mask,
-        # variable mask) pairs in the order of their least variable.
-        parts = []
-        while live:
-            clauses = live & -live
-            variables = frontier = cvars[clauses.bit_length() - 1] & free
-            while frontier:
-                reached = 0
-                for v in _bits(frontier):
-                    reached |= occ[v]
-                reached &= live & ~clauses
-                clauses |= reached
-                frontier = 0
-                for c in _bits(reached):
-                    frontier |= cvars[c]
-                frontier &= free & ~variables
-                variables |= frontier
-            live &= ~clauses
-            parts.append((clauses, variables))
-        parts.sort(key=lambda part: part[1] & -part[1])
-        return parts
-
-    def satisfiable(live: int, free: int) -> bool:
-        stack = [(live, free, 0, 0)]
-        while stack:
-            state = propagate(*stack.pop())
-            if state is not None:
-                live, free = state[0], state[1]
-                if not live:
-                    return True
-                v = cvars[(live & -live).bit_length() - 1] & free
-                v &= -v
-                stack += ((live, free, 0, v), (live, free, v, 0))
-        return False
-
-    def expand(live: int, free: int, span: int, decision: int, on: int, off: int) -> int:
-        # The node of the residual once on and off are assigned: the decision
-        # literal first, then the other kept literals set, the components and
-        # gap nodes for the variables of span left uncovered.
-        state = propagate(live, free, on, off)
-        if state is None:
-            return false
-        live, free, on, off = state
-        covered = (on | off) & kept
-        parts = []
-        for m in (decision, covered & ~decision):
-            for v in _bits(m):
-                parts.append(builder.literal(declared[v], bool(on >> v & 1)))
-        for clauses, variables in split(live, free):
-            node = component(clauses, variables)
-            if node == false:
-                return false
-            parts.append(node)
-            covered |= variables
-        parts += (builder.gap(declared[v]) for v in _bits(span & ~covered))
-        return builder.conj(parts)
-
-    def component(clauses: int, variables: int) -> int:
-        # The node of one component: it mentions exactly its kept variables.
-        key = (clauses, variables)
-        node = cache.get(key)
-        if node is None:
-            pool = variables & kept
-            if not pool:
-                node = builder.true() if satisfiable(clauses, variables) else false
-            else:
-                best = -1
-                for i in _bits(pool):
-                    count = (occ[i] & clauses).bit_count()
-                    if count > best:
-                        best, v = count, i
-                low = 1 << v
-                node = builder.disj(
-                    [expand(clauses, variables & ~low, pool, low, low, 0),
-                     expand(clauses, variables & ~low, pool, low, 0, low)],
-                    decision=declared[v],
-                )
-            cache[key] = node
-        return node
-
-    on = off = 0
-    for p, n in clauses:
-        if not (p | n) & (p | n) - 1:
-            if not p | n:  # the empty clause
-                return lambda assume: false
-            on |= p
-            off |= n
-    live, free = (1 << len(clauses)) - 1, (1 << width) - 1
-    return lambda assume: expand(live, free, kept, 0, on | assume, off)
+def _decide(
+    builder: _Builder, memo: dict, names: tuple[str, ...], split: Callable, i: int, tails: Hashable
+) -> tuple[int, int]:
+    """The node of ``tails`` over ``names[i:]``, and the bit mask of the
+    names it mentions. Each name is decided true branch first, memoised so
+    equal tails share one node, and skipped where both branches give one
+    node. A branch is its decision literal, its child and gap nodes up to
+    the decision's variables."""
+    if not tails or i == len(names):
+        return (builder.true() if tails else builder.false()), 0
+    hit = memo.get((i, tails))
+    if hit is None:
+        high, low = (
+            _decide(builder, memo, names, split, i + 1, t) for t in split(len(names) - i, tails)
+        )
+        hit = high
+        if high[0] != low[0]:
+            false, span = builder.false(), 1 << i | high[1] | low[1]
+            branches = []
+            for positive, (child, mentions) in ((True, high), (False, low)):
+                if child != false:  # a branch with no model gets no gap nodes
+                    gaps = (builder.gap(names[v]) for v in _bits(span & ~(1 << i | mentions)))
+                    parts = [builder.literal(names[i], positive), child, *gaps]
+                    branches.append(builder.conj(parts))
+            hit = builder.disj(branches, decision=names[i]), span
+        memo[i, tails] = hit
+    return hit
 
 
-def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
-    """The nodes ``root`` reaches, renumbered in depth-first post-order.
+def _reachable(nodes: Sequence[Node], root: int, variables: tuple[str, ...]) -> Circuit:
+    """The circuit over ``variables`` of the nodes ``root`` reaches,
+    renumbered in depth-first post-order.
 
     Simplification, and every other circuit built in the same arena, leave
     nodes the root does not reach. Post-order from the root, children in
@@ -583,12 +580,13 @@ def _reachable(nodes: Sequence[Node], root: int) -> tuple[Node, ...]:
         else:
             stack.pop()
             position[index] = len(position)
-    return _Nodes(
+    reached = _Nodes(
         Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
         if n.children
         else n
         for n in (nodes[i] for i in position)
     )
+    return Circuit(reached, len(reached) - 1, variables)
 
 
 def _varsets(circuit: Circuit, ids: Iterable[int]) -> list[frozenset[str]]:
@@ -748,10 +746,11 @@ def _normalize_literals(
         try:
             name, value = entry
         except (TypeError, ValueError):
-            raise InputError(f"literal must be a (variable, polarity) pair, got {entry!r}")
+            name = value = None
+        if not isinstance(name, str) or not isinstance(value, bool):
+            raise InputError(f"literal must be a (variable, bool) pair, got {entry!r}")
         if name not in known:
             raise InputError(f"unknown variable {name!r}")
-        value = bool(value)
         if name in out and out[name] != value:
             raise InputError(f"inconsistent literals for {name!r}")
         out[name] = value
@@ -787,8 +786,7 @@ def condition(
             mapped.append(builder.conj([mapped[c] for c in node.children]))
         else:
             mapped.append(builder.disj([mapped[c] for c in node.children], decision=node.decision))
-    nodes = _reachable(builder.nodes, mapped[circuit.root])
-    return Circuit(nodes, len(nodes) - 1, circuit.variables)
+    return _reachable(builder.nodes, mapped[circuit.root], circuit.variables)
 
 
 def format_nnf(circuit: Circuit) -> str:

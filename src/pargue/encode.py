@@ -130,8 +130,9 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
 
 
 # Keyed on the cyclic cone subgraph GR's constellation is built for. A
-# 22-argument table holds 11.7 MB, so 64 of them would hold 750 MB.
-@lru_cache(maxsize=64)
+# 22-argument table holds 11.7 MB, so the 16 kept hold at most 187 MB. A
+# cold prob-c benchmark pass hits as often with 16 as with 64.
+@lru_cache(maxsize=16)
 def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
     """Per argument x, the truth table of x's grounded acceptance: bit S is
     set iff x is in the grounded extension of the subgraph that holds each

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,8 +38,9 @@ from pargue import (
     model_count,
     validate,
 )
-from pargue.af import _attacked_by, _characteristic_mask
-from pargue.circuit import Compiler, _Builder
+from pargue.af import _attacked_by, _bits, _characteristic_mask
+from pargue.circuit import Compiler, _Builder, _diagram, _table_halves
+from pargue.encode import _grounded_table
 from pargue.semiring import model_masks
 
 from conftest import (
@@ -93,6 +96,24 @@ def hand_built_circuits(draw):
             children = draw(st.lists(earlier, min_size=1, max_size=3))
             nodes.append(Node(kind, children=tuple(children)))
     return Circuit(tuple(nodes), len(nodes) - 1, names)
+
+
+@st.composite
+def projected_cases(draw):
+    """Up to five eliminated names beside the kept a and b, up to six
+    clauses over all of them and the clauses of a parity over the
+    eliminated ones, which no unit or pure literal settles, and an assumed
+    mask over every name."""
+    hidden = tuple(f"h{i}" for i in range(draw(st.integers(0, 5))))
+    literal = st.tuples(st.sampled_from(("a", "b", *hidden)), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=3), max_size=6))
+    odd = draw(st.booleans())
+    clauses += (
+        list(zip(hidden, signs))
+        for signs in itertools.product((True, False), repeat=len(hidden))
+        if sum(signs) % 2 != odd
+    )
+    return hidden, clauses, draw(st.integers(0, (1 << 2 + len(hidden)) - 1))
 
 
 def first_overlapping_disjunction(c):
@@ -325,7 +346,7 @@ class TestCompile:
             raise AssertionError("listed model set compiled by the clause search")
 
         circuit_module = importlib.import_module("pargue.circuit")
-        monkeypatch.setattr(circuit_module, "_search", refuse)
+        monkeypatch.setattr(circuit_module, "Compiler", refuse)
         names = [f"x{i:02d}" for i in range(25)]
         masks = set(random.Random(3000).sample(range(1 << 25), 3000))
         c = encode_enumerative(names, masks)
@@ -412,6 +433,45 @@ class TestCompiler:
         got = compiler.circuit(assume)
         assert passed(validate(got))
         assert format_nnf(got) == format_nnf(compile_formula(with_units))
+
+    @given(projected_cases())
+    def test_projection_under_assumptions_matches_truth_table(self, case):
+        # Once a and b are decided, the parity over the eliminated names is
+        # left to the branch step on them, nested as deep as they go.
+        hidden, clauses, assume = case
+        theory = clause_set(["a", "b"], hidden, clauses)
+        got = Compiler(theory).circuit(assume)
+        assert passed(validate(got))
+        units = [(1 << v, 0) for v in _bits(assume)]
+        with_units = ClauseSet(theory.names, theory.declared, (*units, *theory.clauses))
+        assert {names_of(got, m) for m in model_masks(got)} == models(with_units)
+
+    def test_dropped_builders_are_freed_without_the_collector(self, monkeypatch):
+        # No compile path leaves a reference cycle, so each builder goes
+        # with the last reference to it, the cyclic collector switched off.
+        refs = []
+        init = _Builder.__init__
+
+        def recording(builder):
+            init(builder)
+            refs.append(weakref.ref(builder))
+
+        monkeypatch.setattr(_Builder, "__init__", recording)
+        clauses = [[("a", True), ("h", True)], [("b", True), ("h", False)]]
+        theory = clause_set(["a", "b"], ["h"], clauses)
+        cycle = ArgumentationFramework(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "x")])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            Compiler(theory).circuit(0b100)
+            compile_formula(theory)
+            encode_enumerative(["a", "b"], [0b01, 0b10])
+            _diagram(cycle.arguments, _grounded_table(cycle)[0], _table_halves)
+            assert len(refs) == 4
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_assumptions_must_fit_the_names(self):
         compiler = Compiler(ClauseSet(("a", "b"), 1, ()))
@@ -551,6 +611,14 @@ class TestCondition:
     def test_unknown_variable_rejected(self, example_af):
         with pytest.raises(InputError):
             condition(compiled_example(example_af), {"z": True})
+
+    @pytest.mark.parametrize("fixed", [["a1"], [("a", "no")], {"a": "no"}])
+    def test_malformed_literals_rejected(self, fixed):
+        # A string unpacks to a pair and any value has a truth value; a
+        # literal is a (name, bool) pair and nothing else.
+        c = compile_formula(ClauseSet(("a",), 1, ()))
+        with pytest.raises(InputError, match="literal"):
+            condition(c, fixed)
 
     @given(clause_sets(), st.dictionaries(st.sampled_from(NAMES), st.booleans()))
     def test_every_conditioned_node_reachable(self, f, fixed):
