@@ -26,10 +26,15 @@ Only kept variables make disjunctions, so the circuit stays deterministic.
 
 The search is a ``Compiler``, which keeps its arena and component cache
 across circuits: each circuit assumes a set of variables true, as if they
-were unit clauses, and shares every component the earlier ones met.
-``compile_formula`` is a compiler's one circuit with nothing assumed. Each
-circuit is renumbered in depth-first post-order from its root, so it is the
-same whatever else the arena holds. No compile path makes a reference cycle.
+were unit clauses, and shares every component the earlier ones met. Each
+also has a scope, a set of names: the circuit is over the scope's declared
+names, from the clauses whose names all lie in it, and the width caps count
+the scope alone. A scope that keeps each name's relative order compiles to
+the circuit of its own clause set, since the lowest bit breaks every tie
+alike. ``compile_formula`` is a compiler's one circuit with nothing assumed
+and every name in scope. Each circuit is renumbered in depth-first
+post-order from its root, so it is the same whatever else the arena holds.
+No compile path makes a reference cycle.
 
 A listed model set (``encode_enumerative``) or a truth table needs no
 search: deciding its names in order, equal tails sharing a node, builds a
@@ -41,9 +46,12 @@ format used by the standard `.nnf` file layout this module also emits.
 ``Circuit``, ``ClauseSet`` and ``ValidationReport`` are named tuples, whose
 constructors check their fields; ``Node`` is a slotted class. A circuit's
 nodes are held in a ``_Nodes`` tuple, however the circuit is built, which
-computes the circuit's ``_Index`` on its first evaluation and keeps it: the
-literal and gate positions that the forward and backward passes read
-instead of each node's kind. The index lives and dies with its circuit.
+keeps the circuit's ``_Index``, the literal and gate positions that the
+forward and backward passes read instead of each node's kind, and each
+node's model count, which ``model_count`` reads. Every circuit built here
+ends in ``_reachable``, whose one post-order pass renumbers the kept nodes
+and hands over both; a circuit built by hand computes them on first use.
+Both live and die with the circuit.
 """
 
 from __future__ import annotations
@@ -122,30 +130,64 @@ class _Index(namedtuple("_Index", "literals pairs trues gates")):
 
 
 class _Nodes(tuple):
-    """A circuit's node tuple, which builds its ``_Index`` on first use and
-    keeps it for as long as the tuple lives."""
+    """A circuit's node tuple, with its ``_Index`` and the model count of
+    each node over the variables it mentions, kept for as long as the tuple
+    lives. ``_reachable`` sets both in the pass that builds the tuple; a
+    tuple built otherwise computes each on first use."""
 
     @cached_property
     def _index(self) -> _Index:
-        literals, trues, gates = [], [], []
-        missing = len(self)
-        pairs: dict[str, tuple[int, int]] = {}
-        for i, node in enumerate(self):
-            kind = node.kind
-            if kind == "lit":
-                var, positive = node.var, node.positive
-                pos, neg = pairs.get(var, (missing, missing))
-                first = pos if positive else neg
-                if first == missing:
-                    literals.append((i, var, positive))
-                    pairs[var] = (i, neg) if positive else (pos, i)
-                else:
-                    gates.append((i, False, (first,)))
-            elif kind == "and" or kind == "or":
-                gates.append((i, kind == "and", node.children))
-            elif kind == "true":
+        return _indexed(self, range(len(self)))._index
+
+    @cached_property
+    def _counts(self) -> list[int]:
+        return _indexed(self, range(len(self)))._counts
+
+
+def _indexed(nodes: Sequence[Node], position: Mapping[int, int] | range) -> _Nodes:
+    """The nodes that ``position`` numbers, children first, renumbered by
+    it, as a ``_Nodes`` tuple whose index and per-node counts are set in
+    the same pass. A count is the counting semiring's value, every literal
+    valued 1."""
+    missing = len(position)
+    kept: list[Node] = []
+    counts: list[int] = []
+    literals, trues, gates = [], [], []
+    pairs: dict[str, tuple[int, int]] = {}
+    for old in position:
+        node = nodes[old]
+        i, kind = len(kept), node.kind
+        if kind == "and" or kind == "or":
+            children = tuple([position[c] for c in node.children])
+            node = Node(kind, node.var, node.positive, children, node.decision)
+            gates.append((i, kind == "and", children))
+            if kind == "and":
+                count = 1
+                for c in children:
+                    count *= counts[c]
+            else:
+                count = sum([counts[c] for c in children])
+        elif kind == "lit":
+            count = 1
+            var, positive = node.var, node.positive
+            pos, neg = pairs.get(var, (missing, missing))
+            first = pos if positive else neg
+            if first == missing:
+                literals.append((i, var, positive))
+                pairs[var] = (i, neg) if positive else (pos, i)
+            else:
+                gates.append((i, False, (first,)))
+        else:
+            count = 1 if kind == "true" else 0
+            if count:
                 trues.append(i)
-        return _Index(tuple(literals), pairs, tuple(trues), tuple(gates))
+        kept.append(node)
+        counts.append(count)
+    reached = _Nodes(kept)
+    # cached_property has no setter: from here on it returns these attributes.
+    reached._index = _Index(tuple(literals), pairs, tuple(trues), tuple(gates))
+    reached._counts = counts
+    return reached
 
 
 class Circuit(namedtuple("Circuit", "nodes root variables")):
@@ -153,7 +195,8 @@ class Circuit(namedtuple("Circuit", "nodes root variables")):
     root, and the declared variable names.
 
     However it is built, ``nodes`` is held as a ``_Nodes`` tuple, so each
-    circuit's index is built once, on its first evaluation.
+    circuit's index and counts are built once: by the pass that built the
+    circuit, or for a circuit built by hand on first use.
     """
 
     __slots__ = ()
@@ -295,17 +338,18 @@ def _require_width(variables: int, eliminated: int = 0) -> None:
 class Compiler:
     """One clause set's search, kept across the circuits compiled from it.
 
-    ``circuit(assume)`` compiles the clause set with the bits of ``assume``
-    set true, as if each were a unit clause. The occurrence lists, the node
-    arena and the component cache are built once and serve every
-    assumption: a component's (clause-id mask, variable mask) key names its
-    residual whatever was assumed, so each cache hit is sound. A circuit
-    equals ``compile_formula`` of the clause set with the assumed unit
-    clauses added, node for node, whatever the compiler built before.
-    ``component`` and ``expand`` recurse through the builder's disjunction,
-    three frames per decided variable, kept or eliminated: at most 151
-    under the caps. A compiler holds no reference cycle, so a dropped one
-    is freed at once.
+    ``circuit(assume, scope)`` compiles the clauses whose names all lie in
+    ``scope``, over the scope's names alone, with the bits of ``assume`` set
+    true, as if each were a unit clause. The occurrence lists, the node
+    arena and the component cache are built once and serve every assumption
+    and scope: a component's (clause-id mask, variable mask) key names its
+    residual whatever was assumed or scoped, so each cache hit is sound. A
+    circuit equals ``compile_formula`` of the scope's clauses, renumbered
+    over its names, with the assumed unit clauses added, node for node,
+    whatever the compiler built before. ``component`` and ``expand``
+    recurse, two frames per decided variable, kept or eliminated: at most
+    101 under the caps. A compiler holds no reference cycle, so a dropped
+    one is freed at once.
 
     The arena and the cache only grow: a compiler holds every node and
     component of every circuit compiled from it, so its memory is at most
@@ -315,23 +359,22 @@ class Compiler:
 
     def __init__(self, theory: ClauseSet) -> None:
         names, clauses = theory.names, theory.clauses
-        self.variables = names[: theory.declared]
-        _require_width(len(self.variables), len(names) - len(self.variables))
         self.names = names
         # Bit masks of the kept (declared) and the eliminated variables.
         self.kept = (1 << theory.declared) - 1
         self.hidden = ((1 << len(names)) - 1) ^ self.kept
         self.pos_occ, self.neg_occ = [0] * len(names), [0] * len(names)
         for i, (p, n) in enumerate(clauses):
-            for v in _bits(p):
-                self.pos_occ[v] |= 1 << i
-            for v in _bits(n):
-                self.neg_occ[v] |= 1 << i
+            for m, occ in ((p, self.pos_occ), (n, self.neg_occ)):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    occ[low.bit_length() - 1] |= 1 << i
         self.occ = [p | n for p, n in zip(self.pos_occ, self.neg_occ)]
         self.cpos = [p for p, _ in clauses]
         self.cvars = [p | n for p, n in clauses]
         self.builder = _Builder()
-        self.false = self.builder.false()
+        self.false, self.true = self.builder.false(), self.builder.true()
         self.cache: dict[tuple[int, int], int] = {}
         # Unit clauses are assigned with every circuit's assumptions.
         on = off = 0
@@ -343,16 +386,41 @@ class Compiler:
                 off |= n
         self.units = on, off
 
-    def circuit(self, assume: int = 0) -> Circuit:
-        """The circuit over the declared names of the clause set with the
-        bits of ``assume`` true, kept or eliminated ones alike."""
+    def circuit(self, assume: int = 0, scope: int | None = None) -> Circuit:
+        """The circuit over the declared names in ``scope`` (every name by
+        default), in their order, of the clauses whose names all lie in it,
+        with the bits of ``assume`` true, kept or eliminated ones alike.
+        At most ``MAX_COMPILE_VARIABLES`` declared names of the scope, and
+        as many others, are compiled."""
         width = len(self.names)
-        if not isinstance(assume, int) or not 0 <= assume < 1 << width:
-            raise InputError(f"assumptions must be a mask below 2**{width}, got {assume!r}")
-        on, off = self.units
-        live, free = (1 << len(self.cvars)) - 1, (1 << width) - 1
-        root = self.expand(live, free, self.kept, 0, on | assume, off)
-        return _reachable(self.builder.nodes, root, self.variables)
+        full = (1 << width) - 1
+        if scope is None:
+            scope = full
+        elif not isinstance(scope, int) or scope & ~full:
+            raise InputError(f"a scope must be a mask below 2**{width}, got {scope!r}")
+        if not isinstance(assume, int) or assume & ~scope:
+            raise InputError(f"assumptions must be a mask within the scope, got {assume!r}")
+        kept = scope & self.kept
+        _require_width(kept.bit_count(), (scope & self.hidden).bit_count())
+        # The clauses the scope's names touch, less those reaching past it:
+        # the cost follows the scope, not the clause set.
+        live, m = 0, scope
+        while m:
+            low = m & -m
+            m ^= low
+            live |= self.occ[low.bit_length() - 1]
+        m = live
+        while m:
+            low = m & -m
+            m ^= low
+            if self.cvars[low.bit_length() - 1] & ~scope:
+                live ^= low
+        # Unit clauses outside the scope drop out. The empty clause touches
+        # no name, but its conflict also sets the bits past every name,
+        # which stay.
+        on, off = (units & (scope | ~full) for units in self.units)
+        root = self.expand(live, scope, kept, 0, on | assume, off)
+        return _reachable(self.builder.nodes, root, tuple(self.names[v] for v in _bits(kept)))
 
     def propagate(
         self, live: int, free: int, on: int, off: int
@@ -361,17 +429,22 @@ class Compiler:
         literals and pure literals of eliminated variables, to a fixed
         point: the live clauses, free variables and all bits set true and
         false, or None on a conflict. A pure literal keeps a model only
-        under projection."""
+        under projection. The set-bit loops here and in the other steps
+        are written out, as they run once per search frame."""
         pos_occ, neg_occ, cpos, cvars = self.pos_occ, self.neg_occ, self.cpos, self.cvars
         on_all = off_all = 0
         while True:
             if not on | off:
-                for v in _bits(free & self.hidden):
+                m = free & self.hidden
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
                     if not neg_occ[v] & live:
                         if pos_occ[v] & live:
-                            on |= 1 << v
+                            on |= low
                     elif not pos_occ[v] & live:
-                        off |= 1 << v
+                        off |= low
                 if not on | off:
                     return live, free, on_all, off_all
             if on & off:
@@ -381,12 +454,19 @@ class Compiler:
             free &= ~(on | off)
             satisfied = shrunk = 0
             for m, yes, no in ((on, pos_occ, neg_occ), (off, neg_occ, pos_occ)):
-                for v in _bits(m):
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
                     satisfied |= yes[v]
                     shrunk |= no[v]
             live &= ~satisfied
             on = off = 0
-            for c in _bits(shrunk & live):
+            m = shrunk & live
+            while m:
+                low = m & -m
+                m ^= low
+                c = low.bit_length() - 1
                 rest = cvars[c] & free
                 if not rest & (rest - 1):
                     if not rest:
@@ -406,13 +486,16 @@ class Compiler:
             variables = frontier = cvars[clauses.bit_length() - 1] & free
             while frontier:
                 reached = 0
-                for v in _bits(frontier):
-                    reached |= occ[v]
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reached |= occ[low.bit_length() - 1]
                 reached &= live & ~clauses
                 clauses |= reached
-                frontier = 0
-                for c in _bits(reached):
-                    frontier |= cvars[c]
+                while reached:
+                    low = reached & -reached
+                    reached ^= low
+                    frontier |= cvars[low.bit_length() - 1]
                 frontier &= free & ~variables
                 variables |= frontier
             live &= ~clauses
@@ -433,15 +516,21 @@ class Compiler:
         covered = (on | off) & self.kept
         parts = []
         for m in (decision, covered & ~decision):
-            for v in _bits(m):
-                parts.append(builder.literal(names[v], bool(on >> v & 1)))
+            while m:
+                low = m & -m
+                m ^= low
+                parts.append(builder.literal(names[low.bit_length() - 1], bool(on & low)))
         for clauses, variables in self.split(live, free):
             node = self.component(clauses, variables)
             if node == self.false:
                 return node
             parts.append(node)
             covered |= variables
-        parts += (builder.gap(names[v]) for v in _bits(span & ~covered))
+        m = span & ~covered
+        while m:
+            low = m & -m
+            m ^= low
+            parts.append(builder.gap(names[low.bit_length() - 1]))
         return builder.conj(parts)
 
     def component(self, clauses: int, variables: int) -> int:
@@ -452,19 +541,22 @@ class Compiler:
         node = self.cache.get(key)
         if node is None:
             occ, span = self.occ, variables & self.kept
-            best = -1
-            for i in _bits(span or variables):
-                count = (occ[i] & clauses).bit_count()
+            best, m = -1, span or variables
+            while m:
+                low = m & -m
+                m ^= low
+                count = (occ[low.bit_length() - 1] & clauses).bit_count()
                 if count > best:
-                    best, v = count, i
-            low = 1 << v
-            branch = (clauses, variables & ~low, span, low & span)
-            # A lazy pair: disj stops at a true first branch, as only an
-            # eliminated variable's can be.
-            node = self.builder.disj(
-                itertools.starmap(self.expand, ((*branch, low, 0), (*branch, 0, low))),
-                decision=self.names[v],
-            )
+                    best, pick = count, low
+            rest, decided = variables & ~pick, pick & span
+            node = self.expand(clauses, rest, span, decided, pick, 0)
+            # Only an eliminated variable's true branch can be true, and
+            # then so is the component.
+            if node != self.true:
+                node = self.builder.disj(
+                    (node, self.expand(clauses, rest, span, decided, 0, pick)),
+                    decision=self.names[pick.bit_length() - 1],
+                )
             self.cache[key] = node
         return node
 
@@ -476,7 +568,7 @@ def compile_formula(theory: ClauseSet) -> Circuit:
     The names past the declared ones are projected away: the circuit's
     models are the assignments to the declared names that extend to a model
     of the clauses. At most ``MAX_COMPILE_VARIABLES`` declared names, and as
-    many others, are compiled.
+    many others, are compiled; ``Compiler.circuit`` checks both.
 
     The search caches each component on its (clause-id mask, variable mask)
     pair: every live clause of a component is the original clause cut down
@@ -550,8 +642,12 @@ def _decide(
             branches = []
             for positive, (child, mentions) in ((True, high), (False, low)):
                 if child != false:  # a branch with no model gets no gap nodes
-                    gaps = (builder.gap(names[v]) for v in _bits(span & ~(1 << i | mentions)))
-                    parts = [builder.literal(names[i], positive), child, *gaps]
+                    parts = [builder.literal(names[i], positive), child]
+                    m = span & ~(1 << i | mentions)
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        parts.append(builder.gap(names[low.bit_length() - 1]))
                     branches.append(builder.conj(parts))
             hit = builder.disj(branches, decision=names[i]), span
         memo[i, tails] = hit
@@ -565,7 +661,9 @@ def _reachable(nodes: Sequence[Node], root: int, variables: tuple[str, ...]) -> 
     Simplification, and every other circuit built in the same arena, leave
     nodes the root does not reach. Post-order from the root, children in
     their stored order, keeps children before parents, puts the root last,
-    and numbers a circuit the same whatever else the arena holds.
+    and numbers a circuit the same whatever else the arena holds. The pass
+    that renumbers the kept nodes also hands the circuit its index and its
+    counts (``_indexed``), so neither takes a second walk.
     """
     position: dict[int, int] = {}
     stack = [(root, iter(nodes[root].children))]
@@ -580,12 +678,7 @@ def _reachable(nodes: Sequence[Node], root: int, variables: tuple[str, ...]) -> 
         else:
             stack.pop()
             position[index] = len(position)
-    reached = _Nodes(
-        Node(n.kind, n.var, n.positive, tuple(position[c] for c in n.children), n.decision)
-        if n.children
-        else n
-        for n in (nodes[i] for i in position)
-    )
+    reached = _indexed(nodes, position)
     return Circuit(reached, len(reached) - 1, variables)
 
 
@@ -730,10 +823,10 @@ def model_count(circuit: Circuit) -> int:
 
     Exact on any circuit that ``validate`` passes, as every compiled and
     conditioned circuit does; on another circuit the count is not checked.
+    It is the counting semiring's value of the root, which the circuit's
+    nodes hold from the pass that built them.
     """
-    from .semiring import COUNTING, Labelling, evaluate
-
-    return evaluate(circuit, COUNTING, Labelling.constant(circuit.variables, 1))
+    return circuit.nodes._counts[circuit.root]
 
 
 def _normalize_literals(

@@ -25,9 +25,10 @@ the membership variables away and leaves the accepting subgraphs. GR has
 no such form: ``_grounded_table`` labels every subgraph at once on
 bit-sliced ints, and each argument's int is the truth table of its
 constellation, from which the engine builds the circuit. Which arguments
-a constellation covers is the engine's choice (``engine._compiled`` hands
-over the argument's relevance cone wherever acceptance depends on nothing
-else), so every encoding here covers the whole framework it is given.
+a constellation covers is the engine's choice (``engine._compiled`` scopes
+the search, or the table, to the argument's relevance cone wherever
+acceptance depends on nothing else), so every theory here covers the whole
+framework it is given.
 
 ``pargue/__init__.py`` re-exports the function ``encode`` under this
 module's name, so ``import pargue.encode as E`` binds the function, and an
@@ -129,15 +130,18 @@ def encode(af: ArgumentationFramework, semantics: Semantics) -> ClauseSet:
     return ClauseSet(names, n, tuple(clauses))
 
 
-# Keyed on the cyclic cone subgraph GR's constellation is built for. A
-# 22-argument table holds 11.7 MB, so the 16 kept hold at most 187 MB. A
-# cold prob-c benchmark pass hits as often with 16 as with 64.
+# Keyed on the framework and the cyclic cone (a mask of its arguments) GR's
+# constellation is built for. A 22-argument table holds 11.7 MB, so the 16
+# kept hold at most 187 MB.
 @lru_cache(maxsize=16)
-def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
-    """Per argument x, the truth table of x's grounded acceptance: bit S is
-    set iff x is in the grounded extension of the subgraph that holds each
-    argument y with bit n - 1 - y of S set. Argument 0 is the highest bit,
-    so halving the table decides the arguments in order.
+def _grounded_table(af: ArgumentationFramework, scope: int) -> tuple[int, ...]:
+    """Per argument x of ``scope``, in id order, the truth table of x's
+    grounded acceptance among the scope's subgraphs: bit S is set iff x is
+    in the grounded extension of the subgraph that holds the scope's k-th
+    argument wherever bit n - 1 - k of S is set, n being the scope's size.
+    The scope's first argument is the highest bit, so halving the table
+    decides the arguments in order. Attacks from outside the scope are not
+    read; a relevance cone has none.
 
     Every subgraph's grounded labelling is computed at once on bit-sliced
     ints, one bit per subgraph (Caminada, JELIA 2006). From all arguments
@@ -146,16 +150,18 @@ def _grounded_table(af: ArgumentationFramework) -> tuple[int, ...]:
     is IN, until nothing changes: the least fixed point, which is the
     grounded labelling of each subgraph.
     """
-    n = len(af.arguments)
+    members = list(_bits(scope))
+    n = len(members)
     if n > MAX_CONSTELLATION_ARGUMENTS:
         raise CapacityError(
             f"subgraph acceptance table supports at most {MAX_CONSTELLATION_ARGUMENTS} "
             f"arguments, got {n}"
         )
-    present = [_variable_pattern(n - 1 - x, n) for x in range(n)]
+    place = {x: k for k, x in enumerate(members)}
+    present = [_variable_pattern(n - 1 - k, n) for k in range(n)]
     full = (1 << (1 << n)) - 1
     absent = [full ^ p for p in present]
-    attackers = [tuple(_bits(mask)) for mask in af._attacker_masks]
+    attackers = [[place[b] for b in _bits(af._attacker_masks[x] & scope)] for x in members]
     labelled_in, labelled_out = [0] * n, [0] * n
     changed = True
     while changed:

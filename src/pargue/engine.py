@@ -15,11 +15,13 @@ Two query modes share one pipeline (encode, compile once, evaluate many):
   one complete extension, which is grounded, preferred and stable (Dung
   1995, Thm 30), so GR on an acyclic cone, and ST on an acyclic framework,
   share AD's too. ``_compiled`` alone decides what a constellation covers:
-  the argument's relevance cone, or under ST the whole framework. A cone's
-  circuit mentions the cone's arguments alone: each argument outside it is
-  a factor p + (1 - p) = 1 of the mean, with no gradient, and doubles the
-  model count. CF's is answered in closed form, with no circuit: the
-  argument's own label, or 0 if it attacks itself.
+  the argument's relevance cone, or under ST the whole framework. The cone
+  is a mask of the framework, the scope of its family's search or of GR's
+  table, and no cone subgraph is built. A cone's circuit mentions the
+  cone's arguments alone: each argument outside it is a factor
+  p + (1 - p) = 1 of the mean, with no gradient, and doubles the model
+  count. CF's is answered in closed form, with no circuit: the argument's
+  own label, or 0 if it attacks itself.
 
 Both modes answer through ``_query``. Apart from CF's closed form, it takes
 the circuit and its model count from ``_compiled``, one bounded cache of
@@ -29,11 +31,12 @@ models of the cached CO circuit) is a listed set, and GR's constellation on
 a cyclic cone a truth table; ``circuit._diagram`` builds both. A theory is
 encoded as a clause set and compiled. The constellations of one (framework,
 semantics) family share one encoded theory and one search (``_compiler``),
-each argument's membership bit an assumption. Circuits are numbered from
-their root, so a target compiles to the same circuit whatever the process
-built before. A point probability is a beta label of zero variance, so both
-label kinds get their moments from the one path in ``propagate``; ``_query``
-renders them into a ``QueryResult``.
+each argument's membership bit an assumption and its cone the scope.
+Circuits are numbered from their root, so a target compiles to the same
+circuit whatever the process built before, and the pass that numbers a
+circuit's nodes also counts its models. A point probability is a beta
+label of zero variance, so both label kinds get their moments from the one
+path in ``propagate``; ``_query`` renders them into a ``QueryResult``.
 Every route has an independent oracle: enumeration over extensions or every
 subgraph (CF included) with the exact mixture variance, and a Monte-Carlo
 estimate.
@@ -45,8 +48,8 @@ from collections.abc import Mapping
 from functools import lru_cache, reduce
 
 from .af import (
-    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _cone_mask,
-    _extension_masks, _semantics, subgraph,
+    ArgumentationFramework, Semantics, _acyclic, _all_extension_masks, _bits, _cone_mask,
+    _extension_masks, _semantics,
 )
 from .beta import BetaLabel, LabelConfig, MomentPair, moment_match, to_fuzzy
 from .circuit import (
@@ -132,10 +135,13 @@ def _compiled(
     target has one cache key. A constellation's scope is the whole
     framework under ST, the argument's relevance cone otherwise: whether a
     subgraph accepts the argument depends only on its part inside the cone
-    (Baroni & Giacomin 2007). A target whose scope is narrower is the cone
-    subgraph's, its model count shifted by the arguments outside, so it
-    takes two of the 256 entries, which share one circuit.
+    (Baroni & Giacomin 2007). The family's search, or GR's table, is run
+    on that scope of the framework itself, so the circuit mentions the
+    scope's arguments alone, and its model count is shifted by the
+    arguments outside. A target takes one of the 256 entries; only GR's
+    and ST's acyclic redirect to AD's takes a second.
     """
+    n = len(af.arguments)
     if argument is not None:
         scope = af._full_mask if semantics is Semantics.ST else _cone_mask(af, argument)
         # With no attack cycle the constellation is AD's (Dung 1995, Thm 30):
@@ -145,38 +151,42 @@ def _compiled(
             semantics is Semantics.GR and _acyclic(af, scope)
         ):
             return _compiled(af, Semantics.AD, argument)
-        if scope != af._full_mask:
-            cone = subgraph(af, af._members(scope))
-            circuit, count = _compiled(cone, semantics, argument)
-            return circuit, count << len(af.arguments) - len(cone.arguments)
-    # Refused before encoding; a theory eliminates at most one membership
-    # variable or auxiliary per argument.
-    _require_width(len(af.arguments))
-    if argument is None and semantics is Semantics.PR:
+        # Refused before encoding: the search eliminates one membership
+        # variable per argument of the scope.
+        _require_width(scope.bit_count())
+        if semantics is Semantics.GR:
+            place = (scope & (1 << af._index[argument]) - 1).bit_count()
+            names = tuple(af.arguments[i] for i in _bits(scope))
+            circuit = _diagram(names, _grounded_table(af, scope)[place], _table_halves)
+        else:
+            member = 1 << n + af._index[argument]
+            circuit = _compiler(af, semantics).circuit(member, scope | scope << n)
+        return circuit, model_count(circuit) << n - scope.bit_count()
+    # Refused before encoding; a theory eliminates at most one auxiliary
+    # per argument.
+    _require_width(n)
+    if semantics is Semantics.PR:
         complete = _compiled(af, Semantics.CO, None)[0]
         circuit = encode_enumerative(af.arguments, model_masks(complete, MAXIMAL_MODELS))
-    elif argument is not None and semantics is Semantics.GR:
-        circuit = _diagram(af.arguments, _grounded_table(af)[af._index[argument]], _table_halves)
-    elif argument is None:
-        circuit = compile_formula(encode(af, semantics))
     else:
-        circuit = _compiler(af, semantics).circuit(1 << len(af.arguments) + af._index[argument])
+        circuit = compile_formula(encode(af, semantics))
     return circuit, model_count(circuit)
 
 
 @lru_cache(maxsize=16)
 def _compiler(af: ArgumentationFramework, semantics: Semantics) -> Compiler:
-    """The search shared by every argument's constellation on the framework
-    (a cone subgraph, or ST's whole framework): each asks it for the shared
-    theory with its own membership bit assumed true.
+    """The search shared by every argument's constellation on the framework,
+    each scoped to its own cone (ST's to the whole framework): each asks it
+    for the shared theory with its own membership bit assumed true.
 
     At most 16 compilers are kept. Each holds the nodes and cached
     components of every circuit compiled from it, at most one per argument
     of its framework, so its worst case is the sum of those compiles'
     searches; ``_compiled`` keeps the circuits themselves. A cold seed-1
-    prob-c benchmark pass builds 46 compilers, the same number as with no
-    bound, and the 16 it keeps hold about 0.2 MB. A compiler holds no
-    reference cycle, so one dropped from the cache is freed at once.
+    prob-c benchmark pass builds 12 compilers, one per (framework,
+    semantics) family that compiles, and they hold about 0.35 MB. A
+    compiler holds no reference cycle, so one dropped from the cache is
+    freed at once.
     """
     return Compiler(encode_constellation(af, semantics))
 

@@ -205,19 +205,24 @@ def _answer(
     """One answer's moments: the mean and the delta-method variance.
 
     ``means`` labels each literal at the label means; ``variances`` maps
-    every argument to its label variance.
+    every argument to its label variance. Each variance term reads the
+    argument's gradient straight from ``_backward``'s partials; the map of
+    every gradient is built only for a covariance's cross terms.
     """
     values = _walk(circuit, PROBABILITY, means, forced=forced)
     mean = min(max(values[circuit.root], 0.0), 1.0)
     variance = 0.0
     if covariance is not None or any(map(variances.__getitem__, circuit.variables)):
-        grads = _gradients(circuit, _backward(circuit, values, forced))
-        for var, g in grads.items():
+        partials = _backward(circuit, values, forced)
+        pairs, missing = circuit.nodes._index.pairs, (len(circuit.nodes),) * 2
+        for var in circuit.variables:
             sigma = variances[var]
             if sigma:
+                pos, neg = pairs.get(var, missing)
+                g = partials[pos] - partials[neg]
                 variance += g * g * sigma
         if covariance is not None:
-            variance = _with_covariance(variance, grads, variances, covariance)
+            variance = _with_covariance(variance, _gradients(circuit, partials), variances, covariance)
         variance = max(variance, 0.0)
     return MomentPair(mean, variance)
 

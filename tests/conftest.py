@@ -95,10 +95,11 @@ def constellation(af: ArgumentationFramework, semantics, argument: str) -> Claus
 
 
 def literal_clauses(names):
-    """Up to six clauses of up to three literals over ``names``; an empty
-    list is the empty clause."""
+    """Up to six clauses of one to three literals over ``names``. The empty
+    clause is left out, as it makes the whole set false; a test that needs
+    it names it as an explicit example."""
     literal = st.tuples(st.sampled_from(list(names)), st.booleans())
-    return st.lists(st.lists(literal, max_size=3), max_size=6)
+    return st.lists(st.lists(literal, min_size=1, max_size=3), max_size=6)
 
 
 @st.composite

@@ -13,7 +13,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import pargue
@@ -36,12 +36,13 @@ from pargue import (
     evaluate,
     format_nnf,
     model_count,
+    subgraph,
     validate,
 )
-from pargue.af import _attacked_by, _bits, _characteristic_mask
-from pargue.circuit import Compiler, _Builder, _diagram, _table_halves
+from pargue.af import _acyclic, _attacked_by, _bits, _characteristic_mask, _cone_mask
+from pargue.circuit import Compiler, _Builder, _diagram, _Nodes, _table_halves
 from pargue.encode import _grounded_table
-from pargue.semiring import model_masks
+from pargue.semiring import _walk, model_masks
 
 from conftest import (
     clause_set, clause_sets, constellation, frameworks, literal_clauses, models, passed
@@ -237,6 +238,7 @@ class TestCompile:
         assert sorted(model_masks(projected)) == [0b01, 0b11]
 
     @given(st.integers(0, 4).flatmap(lambda k: clause_sets(NAMES[:k], NAMES[k:])))
+    @example(clause_set(NAMES[:2], NAMES[2:], [[], [("a", True)]]))
     def test_projection_matches_truth_table(self, f):
         c = compile_formula(f)
         assert passed(validate(c))
@@ -273,6 +275,7 @@ class TestCompile:
         assert model_count(compile_formula(f)) == len(models(f))
 
     @given(clause_sets())
+    @example(clause_set(NAMES, (), [[]]))
     def test_compiled_circuits_validate(self, f):
         report = validate(compile_formula(f))
         assert passed(report)
@@ -421,7 +424,44 @@ class TestCompiler:
                 fresh = compile_formula(constellation(af, semantics, name))
                 assert ahead[x] == format_nnf(fresh), (semantics, name)
 
+    @given(frameworks(max_args=7))
+    def test_scoped_family_circuit_is_the_cone_subgraphs(self, af):
+        # Scoped to an argument's cone, the whole framework's family search
+        # gives the cone subgraph's own circuit, node for node: the cone
+        # keeps the ids' relative order, so every tie breaks alike.
+        n = len(af.arguments)
+        for semantics in (Semantics.CF, Semantics.AD, Semantics.ST):
+            family = Compiler(encode_constellation(af, semantics))
+            for x, name in enumerate(af.arguments):
+                scope = _cone_mask(af, name)
+                cone = subgraph(af, af._members(scope))
+                own = Compiler(encode_constellation(cone, semantics))
+                want = own.circuit(1 << len(cone.arguments) + cone._index[name])
+                got = family.circuit(1 << n + x, scope | scope << n)
+                assert got.variables == cone.arguments
+                assert format_nnf(got) == format_nnf(want), (semantics, name)
+
+    def test_scope_bounds_the_width_and_the_assumptions(self):
+        # 30 kept names are past the cap, but a scope of 25 compiles. Its
+        # units hold x00, x03, ..., x24; the clause across its edge drops.
+        names = [f"x{i:02d}" for i in range(30)]
+        clauses = [(1 << i, 0) for i in range(0, 30, 3)] + [(0, 1 << 24 | 1 << 25)]
+        compiler = Compiler(ClauseSet(names, 30, clauses))
+        with pytest.raises(CapacityError, match="at most 25 variables, got 30"):
+            compiler.circuit()
+        scope = (1 << 25) - 1
+        c = compiler.circuit(0b10, scope)
+        assert c.variables == tuple(names[:25]) and passed(validate(c))
+        assert model_count(c) == 2**15
+        for bad in (1 << 25, "1"):
+            with pytest.raises(InputError, match="assumptions"):
+                compiler.circuit(bad, scope)
+        for bad in (-1, 1 << 30, "1"):
+            with pytest.raises(InputError, match="scope"):
+                compiler.circuit(0, bad)
+
     @given(clause_sets(kept=("a", "b", "c"), hidden=("h",)), st.integers(0, 15))
+    @example(clause_set(("a", "b", "c"), ("h",), [[], [("h", True)]]), 0b0101)
     def test_assumptions_are_unit_clauses(self, theory, assume):
         # Assumed bits, kept or eliminated, act as unit clauses on the same
         # compiler, whatever it compiled before.
@@ -466,7 +506,7 @@ class TestCompiler:
             Compiler(theory).circuit(0b100)
             compile_formula(theory)
             encode_enumerative(["a", "b"], [0b01, 0b10])
-            _diagram(cycle.arguments, _grounded_table(cycle)[0], _table_halves)
+            _diagram(cycle.arguments, _grounded_table(cycle, cycle._full_mask)[0], _table_halves)
             assert len(refs) == 4
             assert [ref() for ref in refs] == [None] * 4
         finally:
@@ -740,6 +780,31 @@ class TestIndex:
             assert evaluate(c, COUNTING, Labelling.constant(c.variables, 1)) == 3, how
             assert evaluate(c, PROBABILITY, points) == pytest.approx(want, abs=1e-12), how
             assert set(model_masks(c)) == wanted, how
+
+    @given(frameworks(max_args=5))
+    def test_reachable_hands_over_the_index_and_counts(self, af):
+        # Every built circuit gets its index and per-node counts from the
+        # pass that renumbers it, before any evaluation: the same as a fresh
+        # tuple of its nodes computes, and as the counting walk.
+        n = len(af.arguments)
+        theory = compile_formula(encode(af, Semantics.AD))
+        family = Compiler(encode_constellation(af, Semantics.AD))
+        built = {
+            "compile_formula": theory,
+            "Compiler.circuit": family.circuit(1 << n, 1 | 1 << n),
+            "encode_enumerative": encode_enumerative(af.arguments, model_masks(theory)),
+            "condition": condition(theory, {af.arguments[0]: False}),
+        }
+        if not _acyclic(af, af._full_mask):
+            table = _grounded_table(af, af._full_mask)[0]
+            built["GR table"] = _diagram(af.arguments, table, _table_halves)
+        for how, c in built.items():
+            seeded = vars(c.nodes)
+            fresh = _Nodes(c.nodes)
+            assert seeded["_index"] == fresh._index, how
+            walk = _walk(c, COUNTING, Labelling.constant(c.variables, 1))
+            assert seeded["_counts"] == fresh._counts == walk, how
+            assert model_count(c) == walk[c.root], how
 
     def test_index_is_built_once_per_node_tuple(self):
         c = self.hand_built()

@@ -462,7 +462,7 @@ class TestConstellationScan:
             sum(1 << position(sub) for sub, accepted in enumerate(scan) if accepted >> x & 1)
             for x in range(n)
         )
-        assert _grounded_table(af) == want
+        assert _grounded_table(af, af._full_mask) == want
 
     @given(frameworks(max_args=8))
     def test_grounded_constellation_is_the_listed_scan(self, af):
@@ -478,7 +478,7 @@ class TestConstellationScan:
             circuit, count = _compiled(cone, Semantics.GR, name)
             assert format_nnf(circuit) == format_nnf(encode_enumerative(cone.arguments, masks))
             assert passed(validate(circuit))
-            table = _grounded_table(cone)[cone._index[name]]
+            table = _grounded_table(cone, cone._full_mask)[cone._index[name]]
             assert count == model_count(circuit) == bin(table).count("1") == len(masks)
 
     def test_grounded_prob_c_runs_no_fixed_point_scan(self, monkeypatch):
